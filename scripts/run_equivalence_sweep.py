@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""Sweep random instances through the three equivalence chains and print a
-summary of flag agreement and worst residuals.
+"""Sweep random instances through the four equivalence chains and print a
+summary of flag agreement and worst residuals.  The instance generators
+are the test suite's (tests/conftest.py).
 
 Example:
     python scripts/run_equivalence_sweep.py --instances 200 --max-dim 12 --seed 3
 """
 
 import argparse
+import os
+import sys
 
 import numpy as np
 
@@ -15,19 +18,12 @@ from opapprox import (
     hat_equivalence_check,
     hat_lift,
     smoothing_equivalence_report,
+    spline_equivalence_report,
     wls_existence_report,
 )
 
-
-def cgauss(rng, rows, cols):
-    return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2)
-
-
-def random_psd(rng, n, rank):
-    if rank == 0:
-        return np.zeros((n, n), dtype=complex)
-    g = cgauss(rng, rank, n)
-    return g.conj().T @ g / rank
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
+from conftest import cgauss, random_psd  # noqa: E402
 
 
 def sweep_wls(rng, instances, max_dim):
@@ -53,6 +49,17 @@ def sweep_smoothing(rng, instances, max_dim):
         assert len(set(report.conditions.values())) == 1, report.conditions
         worst = max(worst, report.diagnostics["max_basis_residual"])
     return worst
+
+
+def sweep_spline(rng, instances, max_dim):
+    existing = 0
+    for _ in range(instances):
+        n = int(rng.integers(2, max_dim + 1))
+        t = cgauss(rng, int(rng.integers(1, max_dim + 1)), n)
+        v = cgauss(rng, int(rng.integers(1, max_dim + 1)), n)
+        # a disagreement raises EquivalenceViolation
+        existing += spline_equivalence_report(t, v).exists
+    return existing
 
 
 def sweep_lift(rng, instances, max_dim):
@@ -93,6 +100,9 @@ def main():
 
     worst = sweep_lift(rng, args.instances, args.max_dim)
     print(f"lift equivalence chain:       all flags agree, worst scaled defect {worst:.3e}")
+
+    existing = sweep_spline(rng, args.instances, args.max_dim)
+    print(f"spline chain:                 all flags agree, {existing}/{args.instances} solvable")
 
 
 if __name__ == "__main__":

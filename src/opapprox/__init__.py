@@ -35,10 +35,12 @@ from .schatten import PolarPair, frechet_gp, polar, schatten_norm, weighted_scha
 from .shorted import CompatCertificate, is_compatible, shorted, w_orthogonal_complement
 from .wls import WlsReport, owls_min, w_inverse, wls_existence_report, wlss_solve
 from .spline import (
+    SplineEquivalenceReport,
     SplineSolution,
     global_spline_solution,
     is_abstract_spline,
     operator_spline_min,
+    spline_equivalence_report,
     spline_solve,
 )
 from .smoothing import (
@@ -73,6 +75,7 @@ __all__ = [
     "PolarPair",
     "SmoothingEquivalenceReport",
     "SmoothingSolution",
+    "SplineEquivalenceReport",
     "SplineSolution",
     "Subspace",
     "Tolerances",
@@ -102,6 +105,7 @@ __all__ = [
     "shorted",
     "smoothing_equivalence_report",
     "smoothing_solve",
+    "spline_equivalence_report",
     "spline_solve",
     "trivial_subspace",
     "w_inverse",

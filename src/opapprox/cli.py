@@ -1,8 +1,10 @@
-"""Batch front door: read a problem manifest, dispatch to the solvers, and
-emit a machine-readable report.
+"""Batch front door: read a problem manifest, dispatch it through the
+problem registry, and emit a machine-readable report.
 
 Exit codes: 0 solved, 2 well-posed nonexistence, 3 equivalence violation,
-64 parse error, 65 dimension error.  Logging verbosity comes from the
+64 parse error, 65 dimension error, 70 numerical failure (a ValueError or
+LinAlgError while solving or rendering).  Exit codes 3 and 70 write a JSON
+error payload in place of the report.  Logging verbosity comes from the
 OPAPPROX_LOG environment variable (error, info, or debug).
 """
 
@@ -26,25 +28,11 @@ from .errors import (
     NotPsd,
     ParseError,
 )
-from .linalg import Tolerances, matrix_rank, null_basis, psd_sqrt, range_basis
-from .manifest import (
-    ProblemManifest,
-    ResultReport,
-    canonical_json,
-    parse_manifest,
-    render_report,
-)
-from .shorted import is_compatible, shorted
-from .smoothing import (
-    BlockWeight,
-    hat_equivalence_check,
-    operator_smoothing_min,
-    optimal_inverse,
-    smoothing_equivalence_report,
-    smoothing_solve,
-)
-from .spline import global_spline_solution, is_abstract_spline, operator_spline_min, spline_solve
-from .wls import owls_min, w_inverse, wls_existence_report, wlss_solve
+# psd_sqrt is unused here but stays importable: perfbench/test_perfbench.py
+# checks that the tracer rebinds opapprox.cli.psd_sqrt
+from .linalg import Tolerances, psd_sqrt  # noqa: F401
+from .manifest import ProblemManifest, canonical_json, parse_manifest, render_report
+from .problems import ResultReport, lookup
 
 log = logging.getLogger("opapprox")
 
@@ -53,347 +41,23 @@ EXIT_NONEXISTENT = 2
 EXIT_EQUIVALENCE = 3
 EXIT_PARSE = 64
 EXIT_DIMENSION = 65
-
-
-def _column(v) -> np.ndarray:
-    return np.asarray(v, dtype=complex).reshape(-1, 1)
-
-
-def _vector_role(manifest: ProblemManifest, role: str) -> np.ndarray:
-    m = manifest.matrices[role]
-    if m.shape[1] != 1:
-        raise DimensionError(f"role {role} must be a column vector (n-by-1), got {m.shape}")
-    return m.ravel()
-
-
-def _weighted_norm(W, r) -> float:
-    return float(np.linalg.norm(psd_sqrt(W) @ r))
-
-
-def _run_wls(m: ProblemManifest) -> ResultReport:
-    A, W = m.matrices["A"], m.matrices["W"]
-    x = _vector_role(m, "x")
-    u = wlss_solve(A, W, x, m.tolerances)
-    r = A @ u - x
-    return ResultReport(
-        problem=m.problem,
-        exists=True,
-        min_value=_weighted_norm(W, r),
-        witness=_column(u),
-        residuals={"normal_equation": float(np.linalg.norm(A.conj().T @ W @ r))},
-        diagnostics={"rank_a": matrix_rank(A, m.tolerances), "seed": m.seed},
-    )
-
-
-def _run_w_inverse(m: ProblemManifest) -> ResultReport:
-    A, W = m.matrices["A"], m.matrices["W"]
-    G = w_inverse(A, W, m.tolerances)
-    residuals = {}
-    if G is not None:
-        eye = np.eye(A.shape[0], dtype=complex)
-        residuals["normal_equation"] = float(
-            np.linalg.norm(A.conj().T @ W @ (A @ G - eye))
-        )
-    return ResultReport(
-        problem=m.problem,
-        exists=G is not None,
-        witness=G,
-        residuals=residuals,
-        conditions={"normal_eq_solvable": G is not None},
-        diagnostics={"rank_a": matrix_rank(A, m.tolerances), "seed": m.seed},
-    )
-
-
-def _run_owls(m: ProblemManifest) -> ResultReport:
-    A, W = m.matrices["A"], m.matrices["W"]
-    value, X0 = owls_min(A, W, m.p, m.tolerances)
-    eye = np.eye(A.shape[0], dtype=complex)
-    return ResultReport(
-        problem=m.problem,
-        exists=True,
-        min_value=value,
-        witness=X0,
-        residuals={
-            "normal_equation": float(np.linalg.norm(A.conj().T @ W @ (A @ X0 - eye)))
-        },
-        diagnostics={"rank_a": matrix_rank(A, m.tolerances), "p": m.p, "seed": m.seed},
-    )
-
-
-def _run_spline(m: ProblemManifest) -> ResultReport:
-    T, V = m.matrices["T"], m.matrices["V"]
-    f0 = _vector_role(m, "f0")
-    sol = spline_solve(T, V, f0, m.tolerances)
-    return ResultReport(
-        problem=m.problem,
-        exists=True,
-        min_value=sol.min_value,
-        witness=_column(sol.h),
-        residuals={
-            "interpolation": float(np.linalg.norm(V @ sol.h - f0)),
-            "normal_equation": sol.normal_residual,
-        },
-        diagnostics={"nullity_v": null_basis(V, m.tolerances).dim, "seed": m.seed},
-    )
-
-
-def _run_op_spline(m: ProblemManifest) -> ResultReport:
-    T, V, B0 = m.matrices["T"], m.matrices["V"], m.matrices["B0"]
-    value, X0 = operator_spline_min(T, V, B0, m.p, m.tolerances)
-    N = null_basis(V, m.tolerances).basis
-    Pn = N @ N.conj().T
-    return ResultReport(
-        problem=m.problem,
-        exists=True,
-        min_value=value,
-        witness=X0,
-        residuals={
-            "constraint": float(np.linalg.norm(V @ X0 - B0)),
-            "normal_equation": float(np.linalg.norm(Pn @ (T.conj().T @ (T @ X0)))),
-        },
-        diagnostics={"nullity_v": N.shape[1], "p": m.p, "seed": m.seed},
-    )
-
-
-def _run_smoothing(m: ProblemManifest) -> ResultReport:
-    T, V = m.matrices["T"], m.matrices["V"]
-    f0 = _vector_role(m, "f0")
-    sol = smoothing_solve(T, V, f0, m.tolerances)
-    return ResultReport(
-        problem=m.problem,
-        exists=True,
-        min_value=sol.objective,
-        witness=_column(sol.h),
-        residuals={"normal_equation": sol.normal_residual},
-        diagnostics={"seed": m.seed},
-    )
-
-
-def _run_op_smoothing(m: ProblemManifest) -> ResultReport:
-    T, V, B0 = m.matrices["T"], m.matrices["V"], m.matrices["B0"]
-    value, X0 = operator_smoothing_min(T, V, B0, m.tolerances)
-    gram = T.conj().T @ T + V.conj().T @ V
-    return ResultReport(
-        problem=m.problem,
-        exists=True,
-        min_value=value,
-        witness=X0,
-        residuals={
-            "normal_equation": float(np.linalg.norm(gram @ X0 - V.conj().T @ B0))
-        },
-        diagnostics={"seed": m.seed},
-    )
-
-
-def _block_weight(m: ProblemManifest) -> BlockWeight:
-    return BlockWeight(w11=m.matrices["W11"], w12=m.matrices["W12"], w22=m.matrices["W22"])
-
-
-def _run_opt_inverse(m: ProblemManifest) -> ResultReport:
-    A = m.matrices["A"]
-    W = _block_weight(m)
-    G = optimal_inverse(A, W, m.tolerances)
-    residuals = {}
-    if G is not None:
-        gram = (
-            A.conj().T @ W.w11 @ A
-            + A.conj().T @ W.w12
-            + W.w12.conj().T @ A
-            + W.w22
-        )
-        rhs = A.conj().T @ W.w11 + W.w12.conj().T
-        residuals["normal_equation"] = float(np.linalg.norm(gram @ G - rhs))
-    return ResultReport(
-        problem=m.problem,
-        exists=G is not None,
-        witness=G,
-        residuals=residuals,
-        conditions={"normal_eq_solvable": G is not None},
-        diagnostics={"seed": m.seed},
-    )
-
-
-def _subspace_role(m: ProblemManifest):
-    # the S file may hold any spanning set; its range defines the subspace
-    return range_basis(m.matrices["S"], m.tolerances)
-
-
-def _run_shorted(m: ProblemManifest) -> ResultReport:
-    W = m.matrices["W"]
-    S = _subspace_role(m)
-    sigma = shorted(W, S, m.tolerances)
-    return ResultReport(
-        problem=m.problem,
-        exists=True,
-        witness=sigma,
-        residuals={
-            "hermitian_defect": float(np.linalg.norm(sigma - sigma.conj().T)),
-            "range_defect": float(np.linalg.norm(S.projector() @ sigma)),
-        },
-        diagnostics={"dim_s": S.dim, "rank_w": matrix_rank(W, m.tolerances), "seed": m.seed},
-    )
-
-
-def _run_compat(m: ProblemManifest) -> ResultReport:
-    W = m.matrices["W"]
-    S = _subspace_role(m)
-    cert = is_compatible(W, S, m.tolerances)
-    residuals = {}
-    if cert.projection is not None:
-        Q = cert.projection
-        residuals = {
-            "idempotency": float(np.linalg.norm(Q @ Q - Q)),
-            "commutation": float(np.linalg.norm(W @ Q - Q.conj().T @ W)),
-        }
-    return ResultReport(
-        problem=m.problem,
-        exists=cert.compatible,
-        witness=cert.projection,
-        residuals=residuals,
-        conditions={"compatible": cert.compatible},
-        diagnostics={
-            "dim_s": cert.s_basis.dim,
-            "dim_s_perp_w": cert.s_perp_w_basis.dim,
-            "sum_rank": cert.sum_rank,
-            "seed": m.seed,
-        },
-    )
-
-
-def _spline_chain_conditions(T, V, tol: Tolerances) -> dict:
-    """The four spline-side conditions that must rise and fall together."""
-    n = V.shape[1]
-    try:
-        _, X0 = operator_spline_min(T, V, V, p=2, tol=tol)
-        op_solvable = True
-    except (NoMinimum, NotInRange):
-        op_solvable = False
-        X0 = None
-
-    columns_ok = False
-    if op_solvable:
-        G = global_spline_solution(T, V, tol)
-        columns_ok = all(
-            is_abstract_spline(T, V, np.eye(n, dtype=complex)[:, i], G[:, i], tol)
-            for i in range(n)
-        )
-
-    compat_ok = bool(is_compatible(T.conj().T @ T, null_basis(V, tol), tol).compatible)
-
-    pointwise_ok = True
-    for i in range(n):
-        e = np.zeros(n, dtype=complex)
-        e[i] = 1.0
-        sol = spline_solve(T, V, V @ e, tol)
-        scale = max(np.linalg.norm(T) ** 2, 1.0)
-        if sol.normal_residual > tol.residual_rtol * scale:
-            pointwise_ok = False
-
-    return {
-        "spline_operator_solvable": op_solvable,
-        "spline_global_columns": bool(columns_ok),
-        "spline_compatible": compat_ok,
-        "spline_pointwise_nonempty": bool(pointwise_ok),
-    }
-
-
-def _run_report(m: ProblemManifest) -> ResultReport:
-    present = set(m.matrices)
-    tol = m.tolerances
-    if present == {"A", "W"}:
-        rep = wls_existence_report(m.matrices["A"], m.matrices["W"], tol, p=m.p)
-        conditions = dict(rep.conditions)
-        conditions["compatible"] = rep.compat.compatible
-        residuals = {}
-        if rep.w_inverse is not None:
-            A, W = m.matrices["A"], m.matrices["W"]
-            eye = np.eye(A.shape[0], dtype=complex)
-            residuals["normal_equation"] = float(
-                np.linalg.norm(A.conj().T @ W @ (A @ rep.w_inverse - eye))
-            )
-        diagnostics = dict(rep.diagnostics)
-        diagnostics["seed"] = m.seed
-        return ResultReport(
-            problem=m.problem,
-            exists=rep.exists,
-            min_value=rep.min_value_p,
-            witness=rep.w_inverse,
-            residuals=residuals,
-            conditions=conditions,
-            diagnostics=diagnostics,
-        )
-    if present == {"T", "V"}:
-        T, V = m.matrices["T"], m.matrices["V"]
-        rng = np.random.default_rng(m.seed)
-        smooth = smoothing_equivalence_report(T, V, tol, rng=rng)
-        spline_flags = _spline_chain_conditions(T, V, tol)
-        if len(set(spline_flags.values())) != 1:
-            raise EquivalenceViolation(
-                "spline equivalence flags disagree (rank-decision inconsistency)",
-                {"conditions": spline_flags},
-            )
-        conditions = {f"smoothing_{k}": v for k, v in smooth.conditions.items()}
-        conditions.update(spline_flags)
-        diagnostics = dict(smooth.diagnostics)
-        diagnostics["seed"] = m.seed
-        residuals = {}
-        if smooth.global_solution is not None:
-            gram = T.conj().T @ T + V.conj().T @ V
-            residuals["normal_equation"] = float(
-                np.linalg.norm(gram @ smooth.global_solution - V.conj().T)
-            )
-        return ResultReport(
-            problem=m.problem,
-            exists=smooth.exists and all(spline_flags.values()),
-            witness=smooth.global_solution,
-            residuals=residuals,
-            conditions=conditions,
-            diagnostics=diagnostics,
-        )
-    # remaining valid role set: A with a block weight
-    rep = hat_equivalence_check(m.matrices["A"], _block_weight(m), tol)
-    residuals = {}
-    if rep.residual is not None:
-        residuals["lifted_normal_equation"] = rep.residual
-    return ResultReport(
-        problem=m.problem,
-        exists=all(rep.conditions.values()),
-        witness=rep.z,
-        residuals=residuals,
-        conditions=dict(rep.conditions),
-        diagnostics={"seed": m.seed},
-    )
-
-
-_DISPATCH = {
-    "wls": _run_wls,
-    "w-inverse": _run_w_inverse,
-    "owls": _run_owls,
-    "spline": _run_spline,
-    "op-spline": _run_op_spline,
-    "smoothing": _run_smoothing,
-    "op-smoothing": _run_op_smoothing,
-    "opt-inverse": _run_opt_inverse,
-    "shorted": _run_shorted,
-    "compat": _run_compat,
-    "report": _run_report,
-}
+EXIT_NUMERICAL = 70  # sysexits EX_SOFTWARE
 
 
 def execute(manifest: ProblemManifest) -> ResultReport:
     """Run a validated manifest; nonexistence is a report, not an exception."""
-    handler = _DISPATCH[manifest.problem]
     try:
-        return handler(manifest)
+        report = lookup(manifest).handler(manifest)
     except (NotInRange, NoMinimum) as exc:
         log.info("nonexistence for %s: %s", manifest.problem, exc)
-        return ResultReport(
-            problem=manifest.problem,
-            exists=False,
-            diagnostics={"reason": str(exc), "seed": manifest.seed},
-        )
+        report = ResultReport(exists=False, diagnostics={"reason": str(exc)})
     except (InconsistentDims, NotPsd) as exc:
         raise DimensionError(str(exc)) from exc
+    return dataclasses.replace(
+        report,
+        problem=manifest.problem,
+        diagnostics={**report.diagnostics, "seed": manifest.seed},
+    )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -445,11 +109,26 @@ def _sidecar_base(out_path: str | None, manifest_path: str) -> str:
     return root
 
 
+def _emit(text: str, out_path: str | None) -> None:
+    if out_path:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _fail(error: str, exc: Exception, diagnostics: dict, out_path: str | None) -> None:
+    """Emit the JSON error payload of exit codes 3 and 70."""
+    _emit(canonical_json({"error": error, "message": str(exc), "diagnostics": diagnostics}), out_path)
+    print(f"opapprox: {error.replace('_', ' ')}: {exc}", file=sys.stderr)
+
+
 def _run_single(manifest_path: str, args, out_path: str | None) -> int:
     try:
         manifest = parse_manifest(manifest_path)
         manifest = _apply_overrides(manifest, args)
         report = execute(manifest)
+        text = render_report(report, _sidecar_base(out_path, manifest_path))
     except ParseError as exc:
         log.error("parse error: %s", exc)
         print(f"opapprox: parse error: {exc}", file=sys.stderr)
@@ -459,23 +138,13 @@ def _run_single(manifest_path: str, args, out_path: str | None) -> int:
         print(f"opapprox: dimension error: {exc}", file=sys.stderr)
         return EXIT_DIMENSION
     except EquivalenceViolation as exc:
-        payload = canonical_json(
-            {"error": "equivalence_violation", "message": str(exc), "diagnostics": exc.diagnostics}
-        )
-        if out_path:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-        else:
-            sys.stdout.write(payload)
-        print(f"opapprox: equivalence violation: {exc}", file=sys.stderr)
+        _fail("equivalence_violation", exc, exc.diagnostics, out_path)
         return EXIT_EQUIVALENCE
-
-    text = render_report(report, _sidecar_base(out_path, manifest_path))
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        log.error("numerical failure: %s", exc)
+        _fail("numerical_failure", exc, {"exception": type(exc).__name__}, out_path)
+        return EXIT_NUMERICAL
+    _emit(text, out_path)
     return EXIT_SOLVED if report.exists else EXIT_NONEXISTENT
 
 

@@ -16,52 +16,15 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.io
 import scipy.sparse
 
-from .errors import DimensionError, ParseError
+from .errors import ParseError
 from .linalg import Tolerances
-
-ROLES = ("A", "W", "T", "V", "B0", "x", "f0", "W11", "W12", "W22", "S")
-
-PROBLEMS = (
-    "wls",
-    "w-inverse",
-    "owls",
-    "spline",
-    "op-spline",
-    "smoothing",
-    "op-smoothing",
-    "opt-inverse",
-    "shorted",
-    "compat",
-    "report",
-)
-
-# roles each problem must provide; "report" is resolved from what is present
-REQUIRED_ROLES = {
-    "wls": ("A", "W", "x"),
-    "w-inverse": ("A", "W"),
-    "owls": ("A", "W"),
-    "spline": ("T", "V", "f0"),
-    "op-spline": ("T", "V", "B0"),
-    "smoothing": ("T", "V", "f0"),
-    "op-smoothing": ("T", "V", "B0"),
-    "opt-inverse": ("A", "W11", "W12", "W22"),
-    "shorted": ("W", "S"),
-    "compat": ("W", "S"),
-}
-
-NEEDS_P = {"owls", "op-spline"}
-
-REPORT_ROLE_SETS = (
-    ("A", "W"),
-    ("T", "V"),
-    ("A", "W11", "W12", "W22"),
-)
+from .problems import PROBLEMS, ROLES, ResultReport, lookup
 
 MANIFEST_KEYS = set(ROLES) | {"problem", "p", "tolerances", "seed"}
 
@@ -77,19 +40,6 @@ class ProblemManifest:
     tolerances: Tolerances
     seed: int
     source: str = "<memory>"
-
-
-@dataclass(frozen=True, eq=False)
-class ResultReport:
-    """Machine-readable outcome of one manifest execution."""
-
-    problem: str
-    exists: bool
-    min_value: float | None = None
-    witness: np.ndarray | None = None
-    residuals: dict = field(default_factory=dict)
-    conditions: dict = field(default_factory=dict)
-    diagnostics: dict = field(default_factory=dict)
 
 
 def read_matrix(path: str) -> np.ndarray:
@@ -181,30 +131,8 @@ def parse_manifest(path: str) -> ProblemManifest:
     manifest = ProblemManifest(
         problem=problem, matrices=matrices, p=p, tolerances=tol, seed=seed, source=path
     )
-    check_roles(manifest)
+    lookup(manifest)  # role set and p must fit a registry row
     return manifest
-
-
-def check_roles(manifest: ProblemManifest) -> None:
-    """Verify the role set matches the problem; shapes are checked at dispatch."""
-    problem = manifest.problem
-    present = set(manifest.matrices)
-    if problem == "report":
-        matches = [rs for rs in REPORT_ROLE_SETS if present == set(rs)]
-        if not matches:
-            raise DimensionError(
-                f"report requires exactly one of the role sets {REPORT_ROLE_SETS}, got {sorted(present)}"
-            )
-        return
-    required = set(REQUIRED_ROLES[problem])
-    if present != required:
-        missing = sorted(required - present)
-        extra = sorted(present - required)
-        raise DimensionError(
-            f"problem {problem!r} needs roles {sorted(required)}; missing {missing}, unexpected {extra}"
-        )
-    if problem in NEEDS_P and manifest.p is None:
-        raise DimensionError(f"problem {problem!r} requires p")
 
 
 def _format_float(value: float) -> str:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InconsistentDims, UnsupportedIndex
-from .linalg import DEFAULT_TOL, Tolerances, as_matrix, hermitize, psd_sqrt
+from .linalg import DEFAULT_TOL, Tolerances, as_matrix, hermitize, psd_sqrt, svd_with_rank
 
 
 def _check_index(p) -> float:
@@ -61,10 +61,8 @@ def polar(X, tol: Tolerances = DEFAULT_TOL) -> PolarPair:
     U is restricted to the numerical-rank subspace, so singular directions
     below the rank cutoff are annihilated rather than arbitrarily rotated.
     """
-    X = as_matrix(X, "X")
-    Us, s, Vh = np.linalg.svd(X, full_matrices=False)
-    smax = s[0] if s.size else 0.0
-    rank = int(np.count_nonzero(s > tol.rank_rtol * smax)) if smax > 0.0 else 0
+    Us, s, Vh, rank = svd_with_rank(as_matrix(X, "X"), tol)
+    Vh = Vh[: s.size]
     u = Us[:, :rank] @ Vh[:rank, :]
     abs_x = hermitize((Vh.conj().T * s) @ Vh)
     return PolarPair(u=u, abs_x=abs_x)

@@ -30,6 +30,7 @@ from .linalg import (
     range_included,
 )
 from .shorted import CompatCertificate, is_compatible
+from .spline import _check_tv_dims
 from .wls import w_inverse
 
 
@@ -109,19 +110,9 @@ class SmoothingEquivalenceReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _check_smoothing_dims(T, V):
-    T = as_matrix(T, "T")
-    V = as_matrix(V, "V")
-    if T.shape[1] != V.shape[1]:
-        raise InconsistentDims(
-            f"T and V must share a domain, got {T.shape[1]} and {V.shape[1]} columns"
-        )
-    return T, V
-
-
 def smoothing_solve(T, V, f0, tol: Tolerances = DEFAULT_TOL) -> SmoothingSolution:
     """Minimize ||T h||^2 + ||V h - f0||^2; minimal-norm h among minimizers."""
-    T, V = _check_smoothing_dims(T, V)
+    T, V = _check_tv_dims(T, V)
     f0 = as_vector(f0, "f0")
     if f0.size != V.shape[0]:
         raise InconsistentDims(f"f0 has length {f0.size}, expected {V.shape[0]}")
@@ -139,7 +130,7 @@ def operator_smoothing_min(T, V, B0, tol: Tolerances = DEFAULT_TOL):
     Solvability of (T*T + V*V) X = V* B0 is tested first; the minimal-norm
     solution is the returned minimizer.
     """
-    T, V = _check_smoothing_dims(T, V)
+    T, V = _check_tv_dims(T, V)
     B0 = as_matrix(B0, "B0")
     if B0.shape[0] != V.shape[0]:
         raise InconsistentDims(f"B0 must have {V.shape[0]} rows, got {B0.shape[0]}")
@@ -243,7 +234,7 @@ def smoothing_equivalence_report(
     of V; sampled global dominance of G = (T*T + V*V)^+ V*; compatibility
     of (T*T, N(V)).  All must agree or EquivalenceViolation is raised.
     """
-    T, V = _check_smoothing_dims(T, V)
+    T, V = _check_tv_dims(T, V)
     if rng is None:
         rng = np.random.default_rng(0)
     f_dim, n = V.shape

@@ -5,7 +5,8 @@ The classical solve parametrizes the affine set by an orthonormal nullspace
 basis and solves one dense least-squares problem; ties are broken by the
 minimal coefficient norm.  The operator problem is reduced to the normal
 equation P_N T*T (P_N X + V^+ B0) = 0 and its value is expressed through
-T*T shorted to N(V).
+T*T shorted to N(V).  The four equivalent existence conditions are
+evaluated independently by ``spline_equivalence_report``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .linalg import (
     range_included,
 )
 from .schatten import schatten_norm
-from .shorted import shorted
+from .shorted import is_compatible, shorted
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,7 +39,15 @@ class SplineSolution:
     normal_residual: float
 
 
-def _check_spline_dims(T, V):
+@dataclass(frozen=True, eq=False)
+class SplineEquivalenceReport:
+    """Four-way agreement report for the spline problem."""
+
+    exists: bool
+    conditions: dict
+
+
+def _check_tv_dims(T, V):
     T = as_matrix(T, "T")
     V = as_matrix(V, "V")
     if T.shape[1] != V.shape[1]:
@@ -54,7 +63,7 @@ def spline_solve(T, V, f0, tol: Tolerances = DEFAULT_TOL) -> SplineSolution:
     Requires f0 in R(V); writes h = V^+ f0 + z with z in N(V) and solves
     the reduced least squares for z.
     """
-    T, V = _check_spline_dims(T, V)
+    T, V = _check_tv_dims(T, V)
     f0 = as_vector(f0, "f0")
     if f0.size != V.shape[0]:
         raise InconsistentDims(f"f0 has length {f0.size}, expected {V.shape[0]}")
@@ -75,7 +84,7 @@ def is_abstract_spline(T, V, h0, h, tol: Tolerances = DEFAULT_TOL) -> bool:
     Checks membership (V h = V h0) and first-order optimality
     (P_{N(V)} T*T h = 0), both within residual tolerance.
     """
-    T, V = _check_spline_dims(T, V)
+    T, V = _check_tv_dims(T, V)
     h0 = as_vector(h0, "h0")
     h = as_vector(h, "h")
     if h0.size != T.shape[1] or h.size != T.shape[1]:
@@ -104,7 +113,7 @@ def operator_spline_min(T, V, B0, p, tol: Tolerances = DEFAULT_TOL):
     The closed-form value uses T*T shorted to N(V); the achieved norm
     ||T X0||_p is cross-checked against it.
     """
-    T, V = _check_spline_dims(T, V)
+    T, V = _check_tv_dims(T, V)
     B0 = as_matrix(B0, "B0")
     if B0.shape != V.shape:
         raise InconsistentDims(f"B0 must have the shape of V {V.shape}, got {B0.shape}")
@@ -136,9 +145,53 @@ def global_spline_solution(T, V, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     Built from the operator solution for B0 = V, composed with the
     projection onto N(V)-perp.
     """
-    T, V = _check_spline_dims(T, V)
+    T, V = _check_tv_dims(T, V)
     _, X0 = operator_spline_min(T, V, V, p=2, tol=tol)
     N = null_basis(V, tol).basis
     n = V.shape[1]
     proj_perp = np.eye(n, dtype=complex) - N @ N.conj().T
     return X0 @ proj_perp
+
+
+def spline_equivalence_report(T, V, tol: Tolerances = DEFAULT_TOL) -> SplineEquivalenceReport:
+    """Evaluate the equivalent spline-existence conditions independently.
+
+    Flags: solvability of the operator problem for B0 = V; the columns of
+    the global solution being abstract splines for the standard basis;
+    compatibility of (T*T, N(V)); pointwise solvability from every
+    standard-basis anchor.  All must agree or EquivalenceViolation is
+    raised.
+    """
+    T, V = _check_tv_dims(T, V)
+    n = V.shape[1]
+    basis = np.eye(n, dtype=complex)
+    try:
+        operator_spline_min(T, V, V, p=2, tol=tol)
+        op_solvable = True
+    except NotInRange:
+        op_solvable = False
+
+    columns_ok = False
+    if op_solvable:
+        G = global_spline_solution(T, V, tol)
+        columns_ok = all(is_abstract_spline(T, V, basis[i], G[:, i], tol) for i in range(n))
+
+    compat = is_compatible(T.conj().T @ T, null_basis(V, tol), tol)
+
+    # every anchor is solved, so a NotInRange from any of them still surfaces
+    scale = max(np.linalg.norm(T) ** 2, 1.0)
+    residuals = [spline_solve(T, V, V @ basis[i], tol).normal_residual for i in range(n)]
+    pointwise_ok = not any(r > tol.residual_rtol * scale for r in residuals)
+
+    conditions = {
+        "spline_operator_solvable": op_solvable,
+        "spline_global_columns": bool(columns_ok),
+        "spline_compatible": bool(compat.compatible),
+        "spline_pointwise_nonempty": bool(pointwise_ok),
+    }
+    if len(set(conditions.values())) != 1:
+        raise EquivalenceViolation(
+            "spline equivalence flags disagree (rank-decision inconsistency)",
+            {"conditions": conditions},
+        )
+    return SplineEquivalenceReport(exists=op_solvable, conditions=conditions)

@@ -154,6 +154,19 @@ def test_cli_nonexistence_exit_code(tmp_path):
     assert payload["exists"] is False
 
 
+def test_wls_min_value_uses_manifest_tolerances(tmp_path):
+    # rank_rtol 1e-5 drops the 1e-7 weight, so x's only component is unweighted
+    path = _write_manifest(
+        tmp_path,
+        "wls_tol.json",
+        {"problem": "wls", "tolerances": {"rank_rtol": 1e-5}},
+        {"A": [[1.0], [0.0]], "W": np.diag([1.0, 1e-7]), "x": _col([0.0, 1.0])},
+    )
+    out = tmp_path / "wls_tol.report.json"
+    assert main([path, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["min_value"] == 0.0
+
+
 def test_cli_equivalence_violation_exit_code(tmp_path):
     # same weak-direction setup, but the rank test of the range sum still
     # succeeds, so the independently evaluated conditions disagree
@@ -215,6 +228,9 @@ def test_cli_seed_changes_nothing_deterministic(tmp_path):
             {"A": [[1.0]], "W11": [[1.0]], "W12": [[0.0]], "W22": [[1.0]]},
             {},
         ),
+        ("wls", {"A": [[1.0], [1.0]], "W": np.diag([2.0, 1.0]), "x": [[1.0], [0.0]]}, {}),
+        ("report", {"A": [[1.0], [0.0]], "W": np.diag([1.0, 4.0])}, {"p": 2}),
+        ("report", {"T": [[1.0, 1.0], [0.0, 1.0]], "V": [[1.0, 0.0]]}, {}),
     ],
 )
 def test_cli_every_problem_solves(tmp_path, problem, matrices, extra):
@@ -344,3 +360,20 @@ def test_console_entry_point_runs(tmp_path):
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["problem"] == "wls"
+
+
+def test_batch_continues_past_numerical_failure(tmp_path, capsys):
+    batch = tmp_path / "jobs"
+    batch.mkdir()
+    # A* W A overflows to infinity inside the solver
+    _write_manifest(batch, "a_big.json", {"problem": "wls"},
+                    {"A": [[1e200], [1.0]], "W": np.eye(2), "x": _col([1.0, 0.0])})
+    _write_manifest(batch, "b_ok.json", {"problem": "smoothing"},
+                    {"T": [[1.0]], "V": [[2.0]], "f0": [[1.0]]})
+    outdir = tmp_path / "reports"
+    assert main(["--batch", str(batch), "--out", str(outdir)]) == 70
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines == ["a_big: exit 70", "b_ok: exit 0"]
+    payload = json.loads((outdir / "a_big.report.json").read_text())
+    assert payload["error"] == "numerical_failure"
+    assert payload["diagnostics"] == {"exception": "ValueError"}

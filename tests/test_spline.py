@@ -10,6 +10,7 @@ from opapprox import (
     null_basis,
     operator_spline_min,
     pinv,
+    spline_equivalence_report,
     spline_solve,
 )
 from opapprox.oracles import quadratic_min_over_affine, sampled_dominance
@@ -168,6 +169,16 @@ def test_equivalence_chain_on_random_instances():
             e[i] = 1.0
             sol = spline_solve(t, v, v @ e)
             assert sol.normal_residual <= 1e-8 * max(np.linalg.norm(t) ** 2, 1.0)
+
+
+def test_spline_equivalence_report_flags_agree_on_random_instances():
+    rng = np.random.default_rng(8)
+    for _ in range(30):
+        t, v = _random_spline_instance(rng)
+        report = spline_equivalence_report(t, v)
+        assert len(report.conditions) == 4
+        assert set(report.conditions.values()) == {True}
+        assert report.exists
 
 
 def test_operator_solution_columns_match_pointwise_solver():
