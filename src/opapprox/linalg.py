@@ -6,11 +6,22 @@ tests, and Hermitian PSD square roots.  All scalars are complex double
 precision; real input is embedded.  "Closed range" is automatic in finite
 dimensions, so every range/nullspace statement becomes a rank decision
 governed by ``rank_rtol``.
+
+A ``Factorization`` (built by ``factor``) holds one SVD of a matrix and its
+rank decision, and answers every question about that matrix: ``pinv``,
+``range``, ``null``, ``solve`` (the range-inclusion test with its factor)
+and ``lstsq`` (the same solve with every column's residual).  ``pinv``, ``range_basis``, ``null_basis``, ``matrix_rank`` and
+``range_included`` are one-shot wrappers over it.  A caller that asks
+several questions of one operator, or solves for many right-hand sides,
+factors it once and passes the value along, so the SVD count of a report
+does not grow with the dimension.  Every SVD goes through
+``svd_with_rank``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -123,51 +134,106 @@ def svd_with_rank(M, tol: Tolerances = DEFAULT_TOL):
     return U, s, Vh, rank
 
 
+@dataclass(frozen=True, eq=False)
+class Factorization:
+    """One SVD of ``matrix`` with its rank decision under ``tol``.
+
+    ``U``, ``s``, ``Vh`` and ``rank`` are the output of ``svd_with_rank``.
+    Every method reuses them; none factors again, and the pseudoinverse
+    is formed at most once.
+    """
+
+    matrix: np.ndarray
+    U: np.ndarray
+    s: np.ndarray
+    Vh: np.ndarray
+    rank: int
+    tol: Tolerances
+
+    def pinv(self) -> np.ndarray:
+        """Moore-Penrose inverse, inverting only singular values above the cutoff.
+
+        Formed on the first call and shared by later ones; do not modify it.
+        """
+        return self._pinv
+
+    @cached_property
+    def _pinv(self) -> np.ndarray:
+        inv = np.zeros_like(self.s)
+        if self.rank:
+            inv[: self.rank] = 1.0 / self.s[: self.rank]
+        k = self.s.size
+        return (self.Vh[:k, :].conj().T * inv) @ self.U[:, :k].conj().T
+
+    def range(self) -> Subspace:
+        """Orthonormal basis of the range (column space)."""
+        return Subspace(self.U[:, : self.rank])
+
+    def null(self) -> Subspace:
+        """Orthonormal basis of the nullspace; dim range + dim null = cols."""
+        if self.matrix.shape[0] == 0:
+            return full_subspace(self.matrix.shape[1])
+        return Subspace(self.Vh[self.rank :, :].conj().T)
+
+    def lstsq(self, B):
+        """Solve M C = B for every column of B at once.
+
+        Returns (C, R, included): the minimal-Frobenius-norm least-squares
+        factor C = M^+ B, its residual R = B - M C (column j belongs to
+        column j of B), and the decision R(B) subseteq R(M), which accepts
+        iff ||R||_F <= residual_rtol * ||B||_F, so B = 0 is always included.
+        """
+        B = as_matrix(B, "B")
+        if self.matrix.shape[0] != B.shape[0]:
+            raise InconsistentDims(
+                f"codomain mismatch: A has {self.matrix.shape[0]} rows, B has {B.shape[0]}"
+            )
+        C = self.pinv() @ B
+        R = B - self.matrix @ C
+        return C, R, bool(np.linalg.norm(R) <= self.tol.residual_rtol * np.linalg.norm(B))
+
+    def solve(self, B):
+        """Test R(B) subseteq R(M); when it holds, return the factor C with M C = B.
+
+        Equivalent to the solvability of M X = B (Douglas factorization at
+        matrix scale); C = M^+ B is the minimal-Frobenius-norm factor.  See
+        ``lstsq`` for the acceptance rule.
+        """
+        C, _, included = self.lstsq(B)
+        return (True, C) if included else (False, None)
+
+
+def factor(M, tol: Tolerances = DEFAULT_TOL) -> Factorization:
+    """Factor M once; the result answers pinv, range, null and solve."""
+    M = as_matrix(M)
+    return Factorization(M, *svd_with_rank(M, tol), tol)
+
+
 def matrix_rank(M, tol: Tolerances = DEFAULT_TOL) -> int:
-    return svd_with_rank(M, tol)[3]
+    return factor(M, tol).rank
 
 
 def pinv(M, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose inverse, inverting only singular values above the cutoff."""
-    U, s, Vh, rank = svd_with_rank(M, tol)
-    inv = np.zeros_like(s)
-    if rank:
-        inv[:rank] = 1.0 / s[:rank]
-    k = s.size
-    return (Vh[:k, :].conj().T * inv) @ U[:, :k].conj().T
+    return factor(M, tol).pinv()
 
 
 def range_basis(M, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Orthonormal basis of the range (column space) of M."""
-    U, _, _, rank = svd_with_rank(M, tol)
-    return Subspace(U[:, :rank])
+    return factor(M, tol).range()
 
 
 def null_basis(M, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Orthonormal basis of the nullspace of M; dim range + dim null = cols."""
-    M = as_matrix(M)
-    if M.shape[0] == 0:
-        return full_subspace(M.shape[1])
-    _, _, Vh, rank = svd_with_rank(M, tol)
-    return Subspace(Vh[rank:, :].conj().T)
+    return factor(M, tol).null()
 
 
 def range_included(B, A, tol: Tolerances = DEFAULT_TOL):
     """Test R(B) subseteq R(A); when it holds, return the factor C with AC = B.
 
-    The test accepts iff ||(I - A A^+) B||_F <= residual_rtol * max(||B||_F, 1).
-    Equivalent to the solvability of AX = B (Douglas factorization at matrix
-    scale); C = A^+ B is the minimal-Frobenius-norm factor.
+    See ``Factorization.solve`` for the acceptance rule.
     """
-    A = as_matrix(A, "A")
-    B = as_matrix(B, "B")
-    if A.shape[0] != B.shape[0]:
-        raise InconsistentDims(f"codomain mismatch: A has {A.shape[0]} rows, B has {B.shape[0]}")
-    C = pinv(A, tol) @ B
-    residual = np.linalg.norm(B - A @ C)
-    if residual <= tol.residual_rtol * max(np.linalg.norm(B), 1.0):
-        return True, C
-    return False, None
+    return factor(as_matrix(A, "A"), tol).solve(B)
 
 
 def hermitize(M) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import matrix_rank, null_basis, psd_sqrt, range_basis
+from .linalg import factor, matrix_rank, null_basis, psd_sqrt, range_basis
 from .shorted import is_compatible, shorted
 from .smoothing import (
     BlockWeight,
@@ -28,7 +28,12 @@ from .smoothing import (
     smoothing_equivalence_report,
     smoothing_solve,
 )
-from .spline import operator_spline_min, spline_equivalence_report, spline_solve
+from .spline import (
+    _check_op_dims,
+    _operator_spline_min,
+    spline_equivalence_report,
+    spline_solve,
+)
 from .wls import owls_min, w_inverse, wls_existence_report, wlss_solve
 
 if TYPE_CHECKING:
@@ -129,10 +134,12 @@ def _run_spline(m: ProblemManifest) -> ResultReport:
 
 
 def _run_op_spline(m: ProblemManifest) -> ResultReport:
-    T, V, B0 = m.matrices["T"], m.matrices["V"], m.matrices["B0"]
-    value, X0 = operator_spline_min(T, V, B0, m.p, m.tolerances)
-    N = null_basis(V, m.tolerances).basis
-    Pn = N @ N.conj().T
+    T, V, B0 = _check_op_dims(m.matrices["T"], m.matrices["V"], m.matrices["B0"])
+    # one factorization of V serves the solver and the nullity diagnostic
+    fv = factor(V, m.tolerances)
+    value, X0 = _operator_spline_min(T, fv, fv.lstsq(B0), m.p, m.tolerances)
+    N = fv.null()
+    Pn = N.projector()
     return ResultReport(
         exists=True,
         min_value=value,
@@ -141,7 +148,7 @@ def _run_op_spline(m: ProblemManifest) -> ResultReport:
             "constraint": float(np.linalg.norm(V @ X0 - B0)),
             "normal_equation": float(np.linalg.norm(Pn @ (T.conj().T @ (T @ X0)))),
         },
-        diagnostics={"nullity_v": N.shape[1], "p": m.p},
+        diagnostics={"nullity_v": N.dim, "p": m.p},
     )
 
 

@@ -24,7 +24,7 @@ from .linalg import (
     as_matrix,
     as_vector,
     ensure_psd_weight,
-    matrix_rank,
+    factor,
     null_basis,
     pinv,
     range_included,
@@ -110,13 +110,24 @@ class SmoothingEquivalenceReport:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _gram(T, V) -> np.ndarray:
+    """T*T + V*V, the left side of every smoothing normal equation."""
+    return T.conj().T @ T + V.conj().T @ V
+
+
+def _basis_residual_scale(gram, V) -> float:
+    """max(||gram||_F, 1) max(||V||_F, 1): the report accepts a basis solve
+    whose normal-equation residual is at most residual_rtol times this."""
+    return float(max(np.linalg.norm(gram), 1.0) * max(np.linalg.norm(V), 1.0))
+
+
 def smoothing_solve(T, V, f0, tol: Tolerances = DEFAULT_TOL) -> SmoothingSolution:
     """Minimize ||T h||^2 + ||V h - f0||^2; minimal-norm h among minimizers."""
     T, V = _check_tv_dims(T, V)
     f0 = as_vector(f0, "f0")
     if f0.size != V.shape[0]:
         raise InconsistentDims(f"f0 has length {f0.size}, expected {V.shape[0]}")
-    gram = T.conj().T @ T + V.conj().T @ V
+    gram = _gram(T, V)
     rhs = V.conj().T @ f0
     h = pinv(gram, tol) @ rhs
     objective = float(np.linalg.norm(T @ h) ** 2 + np.linalg.norm(V @ h - f0) ** 2)
@@ -134,7 +145,7 @@ def operator_smoothing_min(T, V, B0, tol: Tolerances = DEFAULT_TOL):
     B0 = as_matrix(B0, "B0")
     if B0.shape[0] != V.shape[0]:
         raise InconsistentDims(f"B0 must have {V.shape[0]} rows, got {B0.shape[0]}")
-    gram = T.conj().T @ T + V.conj().T @ V
+    gram = _gram(T, V)
     ok, X0 = range_included(V.conj().T @ B0, gram, tol)
     if not ok:
         raise NoMinimum("the smoothing normal equation is unsolvable under the rank decisions")
@@ -150,15 +161,18 @@ def optimal_inverse(A, W: BlockWeight, tol: Tolerances = DEFAULT_TOL) -> np.ndar
     (A* w11 A + A* w12 + w12* A + w22) X = A* w11 + w12* is solvable.
     The minimal-Frobenius-norm solution is returned.
     """
+    A = _check_lift_dims(A, W)
+    ok, G = range_included(A.conj().T @ W.w11 + W.w12.conj().T, _lifted_gram(A, W), tol)
+    return G if ok else None
+
+
+def _check_lift_dims(A, W: BlockWeight) -> np.ndarray:
     A = as_matrix(A, "A")
     if (A.shape[0], A.shape[1]) != (W.f_dim, W.h_dim):
         raise InconsistentDims(
             f"A must map H (dim {W.h_dim}) to F (dim {W.f_dim}), got shape {A.shape}"
         )
-    gram = _lifted_gram(A, W)
-    rhs = A.conj().T @ W.w11 + W.w12.conj().T
-    ok, G = range_included(rhs, gram, tol)
-    return G if ok else None
+    return A
 
 
 def hat_lift(A) -> np.ndarray:
@@ -182,18 +196,23 @@ def hat_equivalence_check(A, W: BlockWeight, tol: Tolerances = DEFAULT_TOL) -> H
     and the companion equation (same left side, right side A* w12 + w22)
     is solvable.
 
-    When all three hold, the two pieces assemble into z(f, h) = z1 f + z2 h,
-    verified to solve the lifted normal equation.
+    The optimal inverse and the companion equation share their left side,
+    the lifted Gram matrix, so they share one factorization of it: each
+    would make the same rank decision on its own.  The lift's W-inverse
+    factors (hat A)* W (hat A), a different matrix.  When all three hold,
+    the two pieces assemble into z(f, h) = z1 f + z2 h, verified to solve
+    the lifted normal equation.
     """
     A = as_matrix(A, "A")
     lifted = hat_lift(A)
     w_mat = W.assemble()
 
     z_lift = w_inverse(lifted, w_mat, tol)
-    g_opt = optimal_inverse(A, W, tol)
+    A = _check_lift_dims(A, W)
     gram = _lifted_gram(A, W)
-    companion_rhs = A.conj().T @ W.w12 + W.w22
-    companion_ok, z2 = range_included(companion_rhs, gram, tol)
+    lifted_gram = factor(gram, tol)
+    _, g_opt = lifted_gram.solve(A.conj().T @ W.w11 + W.w12.conj().T)
+    companion_ok, z2 = lifted_gram.solve(A.conj().T @ W.w12 + W.w22)
 
     conditions = {
         "hat_w_inverse_exists": z_lift is not None,
@@ -227,27 +246,34 @@ def hat_equivalence_check(A, W: BlockWeight, tol: Tolerances = DEFAULT_TOL) -> H
 def smoothing_equivalence_report(
     T, V, tol: Tolerances = DEFAULT_TOL, rng=None, samples: int = 100
 ) -> SmoothingEquivalenceReport:
-    """Evaluate the equivalent smoothing-existence conditions independently.
+    """Evaluate the equivalent smoothing-existence conditions.
 
     Flags: range inclusion R(V*) in R(T*T + V*V); pointwise solvability on
     the standard basis; existence of the (I, 0, T*T)-block optimal inverse
     of V; sampled global dominance of G = (T*T + V*V)^+ V*; compatibility
     of (T*T, N(V)).  All must agree or EquivalenceViolation is raised.
+
+    The range inclusion, the pointwise solves, G and the ``rank_gram``
+    diagnostic all concern the Gram matrix T*T + V*V and share one
+    factorization of it; each would make the same rank decision on its
+    own.  The pointwise solves are one solve of the whole standard basis,
+    each column tested as ``smoothing_solve`` tests its residual, and
+    their columns are G.  The optimal inverse factors its own lifted Gram,
+    dominance is sampled, and compatibility is decided on N(V).
     """
     T, V = _check_tv_dims(T, V)
     if rng is None:
         rng = np.random.default_rng(0)
     f_dim, n = V.shape
-    gram = T.conj().T @ T + V.conj().T @ V
+    gram = _gram(T, V)
+    # column i of G solves the smoothing problem for f0 = e_i, and column i
+    # of R is its normal-equation residual; the solve of V* as a whole is
+    # the range inclusion
+    gram_f = factor(gram, tol)
+    G, R, range_ok = gram_f.lstsq(V.conj().T)
 
-    range_ok, _ = range_included(V.conj().T, gram, tol)
-
-    scale = max(np.linalg.norm(gram), 1.0) * max(np.linalg.norm(V), 1.0)
-    basis_residuals = []
-    for i in range(f_dim):
-        e = np.zeros(f_dim, dtype=complex)
-        e[i] = 1.0
-        basis_residuals.append(smoothing_solve(T, V, e, tol).normal_residual)
+    scale = _basis_residual_scale(gram, V)
+    basis_residuals = [float(r) for r in np.linalg.norm(R, axis=0)]
     pointwise_ok = all(r <= tol.residual_rtol * scale for r in basis_residuals)
 
     blocks = BlockWeight(
@@ -257,7 +283,6 @@ def smoothing_equivalence_report(
     )
     g_opt = optimal_inverse(V, blocks, tol)
 
-    G = pinv(gram, tol) @ V.conj().T
     dominance_ok = True
     worst_gap = 0.0
     for _ in range(samples):
@@ -287,7 +312,7 @@ def smoothing_equivalence_report(
         )
     exists = all(conditions.values())
     diagnostics = {
-        "rank_gram": matrix_rank(gram, tol),
+        "rank_gram": gram_f.rank,
         "max_basis_residual": max(basis_residuals) if basis_residuals else 0.0,
         "worst_dominance_gap": worst_gap,
     }

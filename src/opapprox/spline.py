@@ -6,7 +6,8 @@ basis and solves one dense least-squares problem; ties are broken by the
 minimal coefficient norm.  The operator problem is reduced to the normal
 equation P_N T*T (P_N X + V^+ B0) = 0 and its value is expressed through
 T*T shorted to N(V).  The four equivalent existence conditions are
-evaluated independently by ``spline_equivalence_report``.
+evaluated by ``spline_equivalence_report``.  Every routine factors V once
+and reads V^+ and N(V) off that one factorization.
 """
 
 from __future__ import annotations
@@ -18,13 +19,15 @@ import numpy as np
 from .errors import EquivalenceViolation, InconsistentDims, NotInRange
 from .linalg import (
     DEFAULT_TOL,
+    Factorization,
+    Subspace,
     Tolerances,
     as_matrix,
     as_vector,
+    factor,
     null_basis,
     pinv,
     psd_sqrt,
-    range_included,
 )
 from .schatten import schatten_norm
 from .shorted import is_compatible, shorted
@@ -67,15 +70,32 @@ def spline_solve(T, V, f0, tol: Tolerances = DEFAULT_TOL) -> SplineSolution:
     f0 = as_vector(f0, "f0")
     if f0.size != V.shape[0]:
         raise InconsistentDims(f"f0 has length {f0.size}, expected {V.shape[0]}")
-    h0 = pinv(V, tol) @ f0
-    if np.linalg.norm(V @ h0 - f0) > tol.residual_rtol * max(np.linalg.norm(f0), 1e-300):
+    fv = factor(V, tol)
+    F0 = f0.reshape(-1, 1)
+    H, residuals = _spline_columns(T, fv, F0, fv.lstsq(F0), tol)
+    h = H[:, 0]
+    return SplineSolution(
+        h=h, min_value=float(np.linalg.norm(T @ h)), normal_residual=float(residuals[0])
+    )
+
+
+def _spline_columns(T, fv: Factorization, F0, solved, tol: Tolerances):
+    """Interpolants for every column of F0 at once, with their
+    normal-equation residuals ||P_{N(V)} T*T h||.
+
+    ``fv`` is the factorization of V and ``solved`` is ``fv.lstsq(F0)``.
+    Raises NotInRange when any column of F0 is outside R(V).
+    """
+    H0, R, _ = solved
+    outside = np.linalg.norm(R, axis=0)
+    if np.any(outside > tol.residual_rtol * np.maximum(np.linalg.norm(F0, axis=0), 1e-300)):
         raise NotInRange("f0 is not in the range of V")
-    N = null_basis(V, tol).basis
-    c = -pinv(T @ N, tol) @ (T @ h0)
-    h = h0 + N @ c
-    tth = T.conj().T @ (T @ h)
-    normal_residual = float(np.linalg.norm(N.conj().T @ tth)) if N.shape[1] else 0.0
-    return SplineSolution(h=h, min_value=float(np.linalg.norm(T @ h)), normal_residual=normal_residual)
+    N = fv.null().basis
+    C = -pinv(T @ N, tol) @ (T @ H0)
+    H = H0 + N @ C
+    if not N.shape[1]:
+        return H, np.zeros(H.shape[1])
+    return H, np.linalg.norm(N.conj().T @ (T.conj().T @ (T @ H)), axis=0)
 
 
 def is_abstract_spline(T, V, h0, h, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -89,20 +109,21 @@ def is_abstract_spline(T, V, h0, h, tol: Tolerances = DEFAULT_TOL) -> bool:
     h = as_vector(h, "h")
     if h0.size != T.shape[1] or h.size != T.shape[1]:
         raise InconsistentDims("h0 and h must live in the domain of T and V")
-    scale = max(np.linalg.norm(V) * max(np.linalg.norm(h), np.linalg.norm(h0)), 1e-300)
-    if np.linalg.norm(V @ (h - h0)) > tol.residual_rtol * scale:
-        return False
     N = null_basis(V, tol).basis
+    return bool(_abstract_spline_columns(T, V, h0.reshape(-1, 1), h.reshape(-1, 1), N, tol)[0])
+
+
+def _abstract_spline_columns(T, V, H0, H, N, tol: Tolerances) -> np.ndarray:
+    """``is_abstract_spline`` for every column pair of (H0, H); N is an
+    orthonormal basis of N(V)."""
+    h_norm = np.linalg.norm(H, axis=0)
+    scale = np.maximum(np.linalg.norm(V) * np.maximum(h_norm, np.linalg.norm(H0, axis=0)), 1e-300)
+    member = np.linalg.norm(V @ (H - H0), axis=0) <= tol.residual_rtol * scale
     if N.shape[1] == 0:
-        return True
-    grad = N.conj().T @ (T.conj().T @ (T @ h))
-    grad_scale = max(np.linalg.norm(T) ** 2 * np.linalg.norm(h), 1e-300)
-    return bool(np.linalg.norm(grad) <= tol.residual_rtol * grad_scale)
-
-
-def _shorted_to_nullspace(T, V, tol: Tolerances):
-    # T*T shorted to N(V): block Schur complement, reused from the weight machinery
-    return shorted(T.conj().T @ T, null_basis(V, tol), tol)
+        return member
+    grad = np.linalg.norm(N.conj().T @ (T.conj().T @ (T @ H)), axis=0)
+    grad_scale = np.maximum(np.linalg.norm(T) ** 2 * h_norm, 1e-300)
+    return member & (grad <= tol.residual_rtol * grad_scale)
 
 
 def operator_spline_min(T, V, B0, p, tol: Tolerances = DEFAULT_TOL):
@@ -113,23 +134,35 @@ def operator_spline_min(T, V, B0, p, tol: Tolerances = DEFAULT_TOL):
     The closed-form value uses T*T shorted to N(V); the achieved norm
     ||T X0||_p is cross-checked against it.
     """
+    T, V, B0 = _check_op_dims(T, V, B0)
+    fv = factor(V, tol)
+    return _operator_spline_min(T, fv, fv.lstsq(B0), p, tol)
+
+
+def _check_op_dims(T, V, B0):
     T, V = _check_tv_dims(T, V)
     B0 = as_matrix(B0, "B0")
     if B0.shape != V.shape:
         raise InconsistentDims(f"B0 must have the shape of V {V.shape}, got {B0.shape}")
-    ok, _ = range_included(B0, V, tol)
-    if not ok:
+    return T, V, B0
+
+
+def _operator_spline_min(T, fv: Factorization, solved, p, tol: Tolerances):
+    """``operator_spline_min`` with V factored as ``fv`` and ``solved``
+    equal to ``fv.lstsq(B0)``."""
+    anchor, _, included = solved
+    if not included:
         raise NotInRange("R(B0) is not contained in R(V)")
 
-    anchor = pinv(V, tol) @ B0
-    N = null_basis(V, tol).basis
-    Pn = N @ N.conj().T
+    null_v = fv.null()
+    Pn = null_v.projector()
     tt = T.conj().T @ T
     M = Pn @ tt @ Pn
     Z = pinv(M, tol) @ (-Pn @ tt @ anchor)
     X0 = Pn @ Z + anchor
 
-    value = schatten_norm(psd_sqrt(_shorted_to_nullspace(T, V, tol), tol) @ anchor, p)
+    # T*T shorted to N(V): block Schur complement, reused from the weight machinery
+    value = schatten_norm(psd_sqrt(shorted(tt, null_v, tol), tol) @ anchor, p)
     achieved = schatten_norm(T @ X0, p)
     if abs(achieved - value) > tol.residual_rtol * max(value, achieved, 1.0):
         raise EquivalenceViolation(
@@ -146,46 +179,65 @@ def global_spline_solution(T, V, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     projection onto N(V)-perp.
     """
     T, V = _check_tv_dims(T, V)
-    _, X0 = operator_spline_min(T, V, V, p=2, tol=tol)
-    N = null_basis(V, tol).basis
-    n = V.shape[1]
-    proj_perp = np.eye(n, dtype=complex) - N @ N.conj().T
-    return X0 @ proj_perp
+    fv = factor(V, tol)
+    _, X0 = _operator_spline_min(T, fv, fv.lstsq(V), 2, tol)
+    return _project_off_null(X0, fv.null())
+
+
+def _project_off_null(X0, null_v: Subspace) -> np.ndarray:
+    return X0 @ (np.eye(null_v.ambient_dim, dtype=complex) - null_v.projector())
 
 
 def spline_equivalence_report(T, V, tol: Tolerances = DEFAULT_TOL) -> SplineEquivalenceReport:
-    """Evaluate the equivalent spline-existence conditions independently.
+    """Evaluate the equivalent spline-existence conditions.
 
     Flags: solvability of the operator problem for B0 = V; the columns of
     the global solution being abstract splines for the standard basis;
     compatibility of (T*T, N(V)); pointwise solvability from every
     standard-basis anchor.  All must agree or EquivalenceViolation is
     raised.
+
+    V is factored once and every condition reads V^+ or N(V) off that
+    factorization: a separate SVD of the same matrix would make the same
+    rank decision, so sharing it costs no independence.  The conditions
+    still differ in what they test: the operator problem solves a
+    compressed normal equation and cross-checks the shorted-operator
+    value, the column check tests membership and first-order optimality
+    of the global solution, compatibility is decided on dim(N(V) +
+    N(V)^{perp T*T}), and the pointwise solve goes through one
+    factorization of T N.  The global solution and the pointwise anchors
+    are computed for the whole standard basis at once, with the same
+    per-column tests as ``is_abstract_spline`` and ``spline_solve``.
     """
     T, V = _check_tv_dims(T, V)
     n = V.shape[1]
     basis = np.eye(n, dtype=complex)
+    # B0 = V for the operator problem, and the pointwise anchors V e_i are
+    # the columns of V: both start from the one solve V^+ V
+    fv = factor(V, tol)
+    solved = fv.lstsq(V)
     try:
-        operator_spline_min(T, V, V, p=2, tol=tol)
+        _, X0 = _operator_spline_min(T, fv, solved, 2, tol)
         op_solvable = True
     except NotInRange:
         op_solvable = False
 
+    null_v = fv.null()
     columns_ok = False
     if op_solvable:
-        G = global_spline_solution(T, V, tol)
-        columns_ok = all(is_abstract_spline(T, V, basis[i], G[:, i], tol) for i in range(n))
+        G = _project_off_null(X0, null_v)
+        columns_ok = bool(np.all(_abstract_spline_columns(T, V, basis, G, null_v.basis, tol)))
 
-    compat = is_compatible(T.conj().T @ T, null_basis(V, tol), tol)
+    compat = is_compatible(T.conj().T @ T, null_v, tol)
 
     # every anchor is solved, so a NotInRange from any of them still surfaces
     scale = max(np.linalg.norm(T) ** 2, 1.0)
-    residuals = [spline_solve(T, V, V @ basis[i], tol).normal_residual for i in range(n)]
-    pointwise_ok = not any(r > tol.residual_rtol * scale for r in residuals)
+    _, residuals = _spline_columns(T, fv, V, solved, tol)
+    pointwise_ok = not np.any(residuals > tol.residual_rtol * scale)
 
     conditions = {
         "spline_operator_solvable": op_solvable,
-        "spline_global_columns": bool(columns_ok),
+        "spline_global_columns": columns_ok,
         "spline_compatible": bool(compat.compatible),
         "spline_pointwise_nonempty": bool(pointwise_ok),
     }

@@ -20,6 +20,7 @@ from .linalg import (
     Tolerances,
     as_matrix,
     as_vector,
+    factor,
     matrix_rank,
     pinv,
     psd_sqrt,
@@ -93,7 +94,12 @@ def owls_min(A, W, p, tol: Tolerances = DEFAULT_TOL):
     G = w_inverse(A, W, tol)
     if G is None:
         raise NoMinimum("the normal equation is unsolvable under the current rank decisions")
-    shorted_w = shorted(W, range_basis(A, tol), tol)
+    return _owls_value(A, W, G, shorted(W, range_basis(A, tol), tol), p, tol), G
+
+
+def _owls_value(A, W, G, shorted_w, p, tol: Tolerances) -> float:
+    """The closed-form minimum from W shorted to R(A), cross-checked against
+    the weighted norm that the weighted inverse G achieves."""
     value = schatten_norm(psd_sqrt(shorted_w, tol), p)
     eye = np.eye(A.shape[0], dtype=complex)
     achieved = weighted_schatten_norm(A @ G - eye, W, p, tol)
@@ -102,29 +108,42 @@ def owls_min(A, W, p, tol: Tolerances = DEFAULT_TOL):
             "achieved weighted norm disagrees with the shorted-operator value",
             {"value": value, "achieved": achieved},
         )
-    return value, G
+    return value
+
+
+def _basis_residual_scale(A, W) -> float:
+    """||A||_F ||W||_F: the report accepts a basis solve whose normal-equation
+    residual is at most residual_rtol times this."""
+    return float(np.linalg.norm(A) * np.linalg.norm(W))
 
 
 def wls_existence_report(A, W, tol: Tolerances = DEFAULT_TOL, p=None) -> WlsReport:
-    """Evaluate the four equivalent existence conditions independently.
+    """Evaluate the four equivalent existence conditions.
 
-    Each condition gets its own numerical test; disagreement raises
-    EquivalenceViolation with the divergent flags attached.  The report
-    also carries the compatibility certificate of (W, R(A)) and, when ``p``
-    is given, the operator minimum value and the shorted weight.
+    Conditions (i), (iii) and (iv) are statements about the one operator
+    A* W A, so they share one factorization of it: (i) solves the whole
+    standard basis as one right-hand side and tests each column's
+    normal-equation residual, (iii) and (iv) are the range-inclusion test
+    of A* W in it.  Sharing the factorization shares only the rank
+    decision, which each of them would make identically on its own;
+    condition (ii) is decided on different matrices (R(A) and its
+    W-orthogonal complement).  Disagreement raises EquivalenceViolation
+    with the divergent flags attached.  The report also carries the
+    compatibility certificate of (W, R(A)) and, when ``p`` is given, the
+    operator minimum value and the shorted weight.
     """
     A, W = _check_wls_dims(A, W)
     f_dim = A.shape[0]
-    scale = max(np.linalg.norm(A) * np.linalg.norm(W), 0.0)
+    aw = A.conj().T @ W
+    normal = factor(aw @ A, tol)
+    # column i of U = (A* W A)^+ A* W solves the normal equation for e_i,
+    # and column i of R is its residual A* W e_i - A* W A u_i
+    U, R, normal_ok = normal.lstsq(aw)
 
     # (i) a solution exists for every right-hand side: the standard basis
     # is exhaustive by linearity
-    residuals = []
-    for i in range(f_dim):
-        e = np.zeros(f_dim, dtype=complex)
-        e[i] = 1.0
-        u = wlss_solve(A, W, e, tol)
-        residuals.append(np.linalg.norm(A.conj().T @ W @ (A @ u - e)))
+    scale = _basis_residual_scale(A, W)
+    residuals = [float(r) for r in np.linalg.norm(R, axis=0)]
     solvable_for_all = all(r <= tol.residual_rtol * scale for r in residuals)
 
     # (ii) R(A) + W(R(A))-perp spans the whole codomain
@@ -133,11 +152,9 @@ def wls_existence_report(A, W, tol: Tolerances = DEFAULT_TOL, p=None) -> WlsRepo
     sum_rank = matrix_rank(np.hstack([ra.basis, w_perp.basis]), tol)
     range_sum_full = sum_rank == f_dim
 
-    # (iii) the normal equation A* W A X = A* W is solvable
-    normal_ok, _ = range_included(A.conj().T @ W, A.conj().T @ W @ A, tol)
-
-    # (iv) a weighted inverse exists
-    G = w_inverse(A, W, tol)
+    # (iii) the normal equation A* W A X = A* W is solvable, and (iv) its
+    # minimal-norm solution U is the weighted inverse
+    G = U if normal_ok else None
 
     conditions = {
         "wlss_for_all_x": bool(solvable_for_all),
@@ -156,8 +173,8 @@ def wls_existence_report(A, W, tol: Tolerances = DEFAULT_TOL, p=None) -> WlsRepo
     min_value_p = None
     shorted_w = None
     if p is not None and exists:
-        min_value_p, _ = owls_min(A, W, p, tol)
         shorted_w = shorted(W, ra, tol)
+        min_value_p = _owls_value(A, W, G, shorted_w, p, tol)
 
     diagnostics = {
         "rank_a": ra.dim,

@@ -17,6 +17,7 @@ from opapprox import (
     range_included,
     trivial_subspace,
 )
+from opapprox.linalg import factor
 
 
 def test_tolerances_reject_out_of_range():
@@ -126,6 +127,44 @@ def test_range_included_matches_rank_test():
             b = cgauss(rng, rows, int(rng.integers(1, 6)))
         included, _ = range_included(b, a)
         assert included == (matrix_rank(np.hstack([a, b])) == matrix_rank(a))
+
+
+def test_range_included_is_relative_below_unit_scale():
+    # R([1e-10, 0]^T) is not inside R([0, 1]^T) at any scale
+    ok, c = range_included(np.array([[1e-10], [0.0]]), np.array([[0.0], [1.0]]))
+    assert not ok and c is None
+    for scale in (1e-12, 1e-6, 1.0, 1e6):
+        a = scale * np.diag([1.0, 0.0])
+        assert range_included(scale * np.array([[1.0], [0.0]]), a)[0]
+        assert not range_included(scale * np.array([[0.0], [1.0]]), a)[0]
+    # B = 0 lies in every range, the zero operator's included
+    ok, c = range_included(np.zeros((2, 1)), np.zeros((2, 3)))
+    assert ok and c.shape == (3, 1) and not np.any(c)
+
+
+def test_factorization_answers_match_the_one_shot_wrappers():
+    rng = np.random.default_rng(29)
+    for rows, cols, rank in ((5, 3, 3), (4, 6, 2), (6, 6, 0), (0, 3, 0), (3, 0, 0)):
+        m = random_rank_deficient(rng, rows, cols, rank)
+        f = factor(m)
+        assert f.rank == matrix_rank(m)
+        assert np.array_equal(f.pinv(), pinv(m))
+        assert np.array_equal(f.range().basis, range_basis(m).basis)
+        assert np.array_equal(f.null().basis, null_basis(m).basis)
+        assert f.range().dim + f.null().dim == cols
+        b = m @ cgauss(rng, cols, 2)
+        ok, c = f.solve(b)
+        assert ok and np.array_equal(c, range_included(b, m)[1])
+        c_all, r, included = f.lstsq(b)
+        assert included and np.array_equal(c_all, c) and np.array_equal(r, b - m @ c)
+        assert f.pinv() is f.pinv()
+    # a matrix with no rows has the whole domain as its nullspace
+    assert np.array_equal(factor(np.zeros((0, 3))).null().basis, np.eye(3))
+
+
+def test_factorization_solve_rejects_codomain_mismatch():
+    with pytest.raises(InconsistentDims):
+        factor(np.eye(2)).solve(np.eye(3))
 
 
 def test_range_included_shape_mismatch():
