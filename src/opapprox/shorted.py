@@ -99,12 +99,17 @@ def is_compatible(W, S: Subspace, tol: Tolerances = DEFAULT_TOL) -> CompatCertif
     trivial this is the unique projection onto S along S^{perp_W}.  Any
     such choice satisfies W Q = Q* W; this one is fixed for determinism.
     """
-    W = _check_pair(W, S, tol)
+    perp_w = w_orthogonal_complement(W, S, tol)  # validates W
+    return _certificate(S, perp_w, subspace_sum_rank(S, perp_w, tol), tol)
+
+
+def _certificate(
+    S: Subspace, perp_w: Subspace, sum_rank: int, tol: Tolerances
+) -> CompatCertificate:
+    """The body of ``is_compatible`` for a caller that already holds
+    S^{perp_W} (from ``w_orthogonal_complement``) and dim(S + S^{perp_W})."""
     n = S.ambient_dim
-    perp_w = w_orthogonal_complement(W, S, tol)
-    sum_rank = subspace_sum_rank(S, perp_w, tol)
-    compatible = sum_rank == n
-    if not compatible:
+    if sum_rank != n:
         return CompatCertificate(False, S, perp_w, sum_rank, None)
 
     overlap = intersection(S, perp_w, tol)

@@ -26,9 +26,10 @@ from .linalg import (
     psd_sqrt,
     range_basis,
     range_included,
+    subspace_sum_rank,
 )
 from .schatten import schatten_norm, weighted_schatten_norm
-from .shorted import CompatCertificate, is_compatible, shorted, w_orthogonal_complement
+from .shorted import CompatCertificate, _certificate, shorted, w_orthogonal_complement
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,7 +150,7 @@ def wls_existence_report(A, W, tol: Tolerances = DEFAULT_TOL, p=None) -> WlsRepo
     # (ii) R(A) + W(R(A))-perp spans the whole codomain
     ra = range_basis(A, tol)
     w_perp = w_orthogonal_complement(W, ra, tol)
-    sum_rank = matrix_rank(np.hstack([ra.basis, w_perp.basis]), tol)
+    sum_rank = subspace_sum_rank(ra, w_perp, tol)
     range_sum_full = sum_rank == f_dim
 
     # (iii) the normal equation A* W A X = A* W is solvable, and (iv) its
@@ -169,7 +170,9 @@ def wls_existence_report(A, W, tol: Tolerances = DEFAULT_TOL, p=None) -> WlsRepo
         )
     exists = all(conditions.values())
 
-    compat = is_compatible(W, ra, tol)
+    # the certificate of (W, R(A)) is built on the complement and sum rank
+    # that (ii) has just computed
+    compat = _certificate(ra, w_perp, sum_rank, tol)
     min_value_p = None
     shorted_w = None
     if p is not None and exists:

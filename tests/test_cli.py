@@ -371,9 +371,22 @@ def test_batch_continues_past_numerical_failure(tmp_path, capsys):
     _write_manifest(batch, "b_ok.json", {"problem": "smoothing"},
                     {"T": [[1.0]], "V": [[2.0]], "f0": [[1.0]]})
     outdir = tmp_path / "reports"
-    assert main(["--batch", str(batch), "--out", str(outdir)]) == 70
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert main(["--batch", str(batch), "--out", str(outdir)]) == 70
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines == ["a_big: exit 70", "b_ok: exit 0"]
     payload = json.loads((outdir / "a_big.report.json").read_text())
     assert payload["error"] == "numerical_failure"
+    assert payload["diagnostics"] == {"exception": "ValueError"}
+
+
+def test_infinite_value_is_numerical_failure(tmp_path, capsys):
+    # ||x||_W overflows to infinity, which a JSON report cannot hold
+    path = _write_manifest(tmp_path, "inf.json", {"problem": "wls"},
+                           {"A": [[1.0], [0.0]], "W": np.eye(2), "x": _col([0.0, 1e200])})
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert main([path]) == 70
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == "numerical_failure"
+    assert payload["message"] == "reports cannot contain non-finite values"
     assert payload["diagnostics"] == {"exception": "ValueError"}

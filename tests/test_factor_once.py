@@ -15,6 +15,7 @@ from opapprox import (
     global_spline_solution,
     hat_equivalence_check,
     is_abstract_spline,
+    is_compatible,
     smoothing_equivalence_report,
     smoothing_solve,
     spline_equivalence_report,
@@ -22,7 +23,7 @@ from opapprox import (
     wls_existence_report,
     wlss_solve,
 )
-from opapprox.linalg import factor
+from opapprox.linalg import factor, range_basis
 from opapprox.spline import _spline_columns
 
 RTOL = DEFAULT_TOL.residual_rtol
@@ -100,6 +101,22 @@ def test_wls_report_columns_match_wlss_solve(deficient, seed):
         assert _rel(rep.w_inverse[:, i], u) <= 1e-12
         residuals.append(np.linalg.norm(A.conj().T @ W @ (A @ u - eye[:, i])))
     assert rep.conditions["wlss_for_all_x"] == all(r <= RTOL * scale for r in residuals)
+
+
+@pytest.mark.parametrize("deficient", [False, True], ids=["full_rank", "rank_deficient"])
+@pytest.mark.parametrize("seed", range(3))
+def test_wls_report_certificate_is_is_compatible(deficient, seed):
+    A, W, *_ = _instances(12, deficient, seed)
+    got = wls_existence_report(A, W).compat
+    want = is_compatible(W, range_basis(A))
+    assert got.compatible == want.compatible
+    assert got.sum_rank == want.sum_rank
+    assert np.array_equal(got.s_basis.basis, want.s_basis.basis)
+    assert np.array_equal(got.s_perp_w_basis.basis, want.s_perp_w_basis.basis)
+    if want.projection is None:
+        assert got.projection is None
+    else:
+        assert np.array_equal(got.projection, want.projection)
 
 
 @pytest.mark.parametrize("deficient", [False, True], ids=["full_rank", "rank_deficient"])
