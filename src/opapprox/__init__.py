@@ -35,7 +35,6 @@ from .schatten import PolarPair, frechet_gp, polar, schatten_norm, weighted_scha
 from .shorted import CompatCertificate, is_compatible, shorted, w_orthogonal_complement
 from .wls import WlsReport, owls_min, w_inverse, wls_existence_report, wlss_solve
 from .spline import (
-    SplineEquivalenceReport,
     SplineSolution,
     global_spline_solution,
     is_abstract_spline,
@@ -75,7 +74,6 @@ __all__ = [
     "PolarPair",
     "SmoothingEquivalenceReport",
     "SmoothingSolution",
-    "SplineEquivalenceReport",
     "SplineSolution",
     "Subspace",
     "Tolerances",

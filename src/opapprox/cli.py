@@ -32,7 +32,8 @@ from .errors import (
 # checks that the tracer rebinds opapprox.cli.psd_sqrt
 from .linalg import Tolerances, psd_sqrt  # noqa: F401
 from .manifest import ProblemManifest, canonical_json, parse_manifest, render_report
-from .problems import ResultReport, lookup
+from .problems import lookup
+from .result import ResultReport
 
 log = logging.getLogger("opapprox")
 
@@ -130,18 +131,15 @@ def _run_single(manifest_path: str, args, out_path: str | None) -> int:
         report = execute(manifest)
         text = render_report(report, _sidecar_base(out_path, manifest_path))
     except ParseError as exc:
-        log.error("parse error: %s", exc)
         print(f"opapprox: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except DimensionError as exc:
-        log.error("dimension error: %s", exc)
         print(f"opapprox: dimension error: {exc}", file=sys.stderr)
         return EXIT_DIMENSION
     except EquivalenceViolation as exc:
         _fail("equivalence_violation", exc, exc.diagnostics, out_path)
         return EXIT_EQUIVALENCE
     except (ValueError, np.linalg.LinAlgError) as exc:
-        log.error("numerical failure: %s", exc)
         _fail("numerical_failure", exc, {"exception": type(exc).__name__}, out_path)
         return EXIT_NUMERICAL
     _emit(text, out_path)

@@ -106,13 +106,6 @@ class Subspace:
         """Orthogonal projection onto the subspace."""
         return self.basis @ self.basis.conj().T
 
-    def contains(self, x, tol: Tolerances = DEFAULT_TOL) -> bool:
-        v = as_vector(x)
-        nrm = np.linalg.norm(v)
-        if nrm == 0.0:
-            return True
-        return np.linalg.norm(self.projector() @ v - v) <= tol.residual_rtol * nrm
-
 
 def trivial_subspace(ambient_dim: int) -> Subspace:
     return Subspace(np.zeros((ambient_dim, 0), dtype=complex))

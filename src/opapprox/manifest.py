@@ -27,7 +27,8 @@ import scipy.sparse
 
 from .errors import ParseError
 from .linalg import Tolerances
-from .problems import PROBLEMS, ROLES, ResultReport, lookup
+from .problems import PROBLEMS, ROLES, lookup
+from .result import ResultReport
 
 MANIFEST_KEYS = set(ROLES) | {"problem", "p", "tolerances", "seed"}
 

@@ -23,11 +23,14 @@ from .linalg import (
     ensure_psd_weight,
     hermitize,
     intersection,
+    matrix_rank,
     null_basis,
     orthogonal_complement,
     pinv,
+    range_basis,
     subspace_sum_rank,
 )
+from .result import ResultReport
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,3 +127,43 @@ def _certificate(
         Minv = np.linalg.solve(M, np.eye(n, dtype=complex))
         Q = S.basis @ Minv[: S.dim, :]
     return CompatCertificate(True, S, perp_w, sum_rank, Q)
+
+
+# Registry builders (see problems.REGISTRY): a validated manifest -> ResultReport
+def _build_shorted(m) -> ResultReport:
+    W = m.matrices["W"]
+    # the S file may hold any spanning set; its range defines the subspace
+    S = range_basis(m.matrices["S"], m.tolerances)
+    sigma = shorted(W, S, m.tolerances)
+    return ResultReport(
+        exists=True,
+        witness=sigma,
+        residuals={
+            "hermitian_defect": float(np.linalg.norm(sigma - sigma.conj().T)),
+            "range_defect": float(np.linalg.norm(S.projector() @ sigma)),
+        },
+        diagnostics={"dim_s": S.dim, "rank_w": matrix_rank(W, m.tolerances)},
+    )
+
+
+def _build_compat(m) -> ResultReport:
+    W = m.matrices["W"]
+    cert = is_compatible(W, range_basis(m.matrices["S"], m.tolerances), m.tolerances)
+    residuals = {}
+    if cert.projection is not None:
+        Q = cert.projection
+        residuals = {
+            "idempotency": float(np.linalg.norm(Q @ Q - Q)),
+            "commutation": float(np.linalg.norm(W @ Q - Q.conj().T @ W)),
+        }
+    return ResultReport(
+        exists=cert.compatible,
+        witness=cert.projection,
+        residuals=residuals,
+        conditions={"compatible": cert.compatible},
+        diagnostics={
+            "dim_s": cert.s_basis.dim,
+            "dim_s_perp_w": cert.s_perp_w_basis.dim,
+            "sum_rank": cert.sum_rank,
+        },
+    )

@@ -27,10 +27,10 @@ from .linalg import (
     factor,
     null_basis,
     pinv,
-    range_included,
 )
+from .result import ResultReport
 from .shorted import CompatCertificate, is_compatible
-from .spline import _check_tv_dims
+from .spline import _check_tv_dims, spline_equivalence_report
 from .wls import w_inverse
 
 
@@ -141,16 +141,20 @@ def operator_smoothing_min(T, V, B0, tol: Tolerances = DEFAULT_TOL):
     Solvability of (T*T + V*V) X = V* B0 is tested first; the minimal-norm
     solution is the returned minimizer.
     """
+    return _operator_smoothing_min(T, V, B0, tol)[:2]
+
+
+def _operator_smoothing_min(T, V, B0, tol: Tolerances):
+    """``operator_smoothing_min``, also returning its residual V* B0 - gram X0."""
     T, V = _check_tv_dims(T, V)
     B0 = as_matrix(B0, "B0")
     if B0.shape[0] != V.shape[0]:
         raise InconsistentDims(f"B0 must have {V.shape[0]} rows, got {B0.shape[0]}")
-    gram = _gram(T, V)
-    ok, X0 = range_included(V.conj().T @ B0, gram, tol)
+    X0, R, ok = factor(_gram(T, V), tol).lstsq(V.conj().T @ B0)
     if not ok:
         raise NoMinimum("the smoothing normal equation is unsolvable under the rank decisions")
     value = float(np.linalg.norm(T @ X0) ** 2 + np.linalg.norm(V @ X0 - B0) ** 2)
-    return value, X0
+    return value, X0, R
 
 
 def optimal_inverse(A, W: BlockWeight, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:
@@ -161,9 +165,14 @@ def optimal_inverse(A, W: BlockWeight, tol: Tolerances = DEFAULT_TOL) -> np.ndar
     (A* w11 A + A* w12 + w12* A + w22) X = A* w11 + w12* is solvable.
     The minimal-Frobenius-norm solution is returned.
     """
+    return _optimal_inverse(A, W, tol)[0]
+
+
+def _optimal_inverse(A, W: BlockWeight, tol: Tolerances):
+    """``optimal_inverse``, also returning its normal-equation residual."""
     A = _check_lift_dims(A, W)
-    ok, G = range_included(A.conj().T @ W.w11 + W.w12.conj().T, _lifted_gram(A, W), tol)
-    return G if ok else None
+    G, R, ok = factor(_lifted_gram(A, W), tol).lstsq(A.conj().T @ W.w11 + W.w12.conj().T)
+    return (G if ok else None), R
 
 
 def _check_lift_dims(A, W: BlockWeight) -> np.ndarray:
@@ -261,6 +270,11 @@ def smoothing_equivalence_report(
     their columns are G.  The optimal inverse factors its own lifted Gram,
     dominance is sampled, and compatibility is decided on N(V).
     """
+    return _smoothing_equivalence(T, V, tol, rng, samples)[0]
+
+
+def _smoothing_equivalence(T, V, tol: Tolerances, rng, samples: int = 100):
+    """``smoothing_equivalence_report``, also returning its residual V* - gram G."""
     T, V = _check_tv_dims(T, V)
     if rng is None:
         rng = np.random.default_rng(0)
@@ -322,4 +336,65 @@ def smoothing_equivalence_report(
         global_solution=G if exists else None,
         compat=compat,
         diagnostics=diagnostics,
+    ), R
+
+
+# Registry builders (see problems.REGISTRY): a validated manifest -> ResultReport
+def _build_smoothing(m) -> ResultReport:
+    sol = smoothing_solve(m.matrices["T"], m.matrices["V"], m.matrices["f0"], m.tolerances)
+    return ResultReport(
+        exists=True,
+        min_value=sol.objective,
+        witness=sol.h.reshape(-1, 1),
+        residuals={"normal_equation": sol.normal_residual},
+    )
+
+
+def _build_op_smoothing(m) -> ResultReport:
+    value, X0, R = _operator_smoothing_min(
+        m.matrices["T"], m.matrices["V"], m.matrices["B0"], m.tolerances
+    )
+    return ResultReport(
+        exists=True,
+        min_value=value,
+        witness=X0,
+        residuals={"normal_equation": float(np.linalg.norm(R))},
+    )
+
+
+def _build_opt_inverse(m) -> ResultReport:
+    W = BlockWeight(m.matrices["W11"], m.matrices["W12"], m.matrices["W22"])
+    G, R = _optimal_inverse(m.matrices["A"], W, m.tolerances)
+    return ResultReport(
+        exists=G is not None,
+        witness=G,
+        residuals={} if G is None else {"normal_equation": float(np.linalg.norm(R))},
+        conditions={"normal_eq_solvable": G is not None},
+    )
+
+
+def _build_tv_report(m) -> ResultReport:
+    T, V = m.matrices["T"], m.matrices["V"]
+    smooth, R = _smoothing_equivalence(T, V, m.tolerances, np.random.default_rng(m.seed))
+    spline = spline_equivalence_report(T, V, m.tolerances)
+    conditions = {f"smoothing_{k}": v for k, v in smooth.conditions.items()}
+    conditions.update(spline.conditions)
+    G = smooth.global_solution
+    return ResultReport(
+        exists=smooth.exists and spline.exists,
+        witness=G,
+        residuals={} if G is None else {"normal_equation": float(np.linalg.norm(R))},
+        conditions=conditions,
+        diagnostics=smooth.diagnostics,
+    )
+
+
+def _build_hat_report(m) -> ResultReport:
+    W = BlockWeight(m.matrices["W11"], m.matrices["W12"], m.matrices["W22"])
+    rep = hat_equivalence_check(m.matrices["A"], W, m.tolerances)
+    return ResultReport(
+        exists=all(rep.conditions.values()),
+        witness=rep.z,
+        residuals={} if rep.residual is None else {"lifted_normal_equation": rep.residual},
+        conditions=rep.conditions,
     )

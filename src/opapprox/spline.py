@@ -29,6 +29,7 @@ from .linalg import (
     pinv,
     psd_sqrt,
 )
+from .result import ResultReport
 from .schatten import schatten_norm
 from .shorted import is_compatible, shorted
 
@@ -40,14 +41,6 @@ class SplineSolution:
     h: np.ndarray
     min_value: float
     normal_residual: float
-
-
-@dataclass(frozen=True, eq=False)
-class SplineEquivalenceReport:
-    """Four-way agreement report for the spline problem."""
-
-    exists: bool
-    conditions: dict
 
 
 def _check_tv_dims(T, V):
@@ -66,6 +59,11 @@ def spline_solve(T, V, f0, tol: Tolerances = DEFAULT_TOL) -> SplineSolution:
     Requires f0 in R(V); writes h = V^+ f0 + z with z in N(V) and solves
     the reduced least squares for z.
     """
+    return _spline_solve(T, V, f0, tol)[0]
+
+
+def _spline_solve(T, V, f0, tol: Tolerances):
+    """``spline_solve``, also returning the factorization of V it made."""
     T, V = _check_tv_dims(T, V)
     f0 = as_vector(f0, "f0")
     if f0.size != V.shape[0]:
@@ -76,7 +74,7 @@ def spline_solve(T, V, f0, tol: Tolerances = DEFAULT_TOL) -> SplineSolution:
     h = H[:, 0]
     return SplineSolution(
         h=h, min_value=float(np.linalg.norm(T @ h)), normal_residual=float(residuals[0])
-    )
+    ), fv
 
 
 def _spline_columns(T, fv: Factorization, F0, solved, tol: Tolerances):
@@ -136,7 +134,7 @@ def operator_spline_min(T, V, B0, p, tol: Tolerances = DEFAULT_TOL):
     """
     T, V, B0 = _check_op_dims(T, V, B0)
     fv = factor(V, tol)
-    return _operator_spline_min(T, fv, fv.lstsq(B0), p, tol)
+    return _operator_spline_min(T, fv, fv.lstsq(B0), p, tol)[:2]
 
 
 def _check_op_dims(T, V, B0):
@@ -149,7 +147,7 @@ def _check_op_dims(T, V, B0):
 
 def _operator_spline_min(T, fv: Factorization, solved, p, tol: Tolerances):
     """``operator_spline_min`` with V factored as ``fv`` and ``solved``
-    equal to ``fv.lstsq(B0)``."""
+    equal to ``fv.lstsq(B0)``; also returns N(V)."""
     anchor, _, included = solved
     if not included:
         raise NotInRange("R(B0) is not contained in R(V)")
@@ -169,7 +167,7 @@ def _operator_spline_min(T, fv: Factorization, solved, p, tol: Tolerances):
             "achieved spline norm disagrees with the shorted-operator value",
             {"value": value, "achieved": achieved},
         )
-    return value, X0
+    return value, X0, null_v
 
 
 def global_spline_solution(T, V, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -180,22 +178,22 @@ def global_spline_solution(T, V, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """
     T, V = _check_tv_dims(T, V)
     fv = factor(V, tol)
-    _, X0 = _operator_spline_min(T, fv, fv.lstsq(V), 2, tol)
-    return _project_off_null(X0, fv.null())
+    _, X0, null_v = _operator_spline_min(T, fv, fv.lstsq(V), 2, tol)
+    return _project_off_null(X0, null_v)
 
 
 def _project_off_null(X0, null_v: Subspace) -> np.ndarray:
     return X0 @ (np.eye(null_v.ambient_dim, dtype=complex) - null_v.projector())
 
 
-def spline_equivalence_report(T, V, tol: Tolerances = DEFAULT_TOL) -> SplineEquivalenceReport:
+def spline_equivalence_report(T, V, tol: Tolerances = DEFAULT_TOL) -> ResultReport:
     """Evaluate the equivalent spline-existence conditions.
 
     Flags: solvability of the operator problem for B0 = V; the columns of
     the global solution being abstract splines for the standard basis;
     compatibility of (T*T, N(V)); pointwise solvability from every
     standard-basis anchor.  All must agree or EquivalenceViolation is
-    raised.
+    raised; the report carries ``exists`` and the four flags.
 
     V is factored once and every condition reads V^+ or N(V) off that
     factorization: a separate SVD of the same matrix would make the same
@@ -217,7 +215,7 @@ def spline_equivalence_report(T, V, tol: Tolerances = DEFAULT_TOL) -> SplineEqui
     fv = factor(V, tol)
     solved = fv.lstsq(V)
     try:
-        _, X0 = _operator_spline_min(T, fv, solved, 2, tol)
+        _, X0, _ = _operator_spline_min(T, fv, solved, 2, tol)
         op_solvable = True
     except NotInRange:
         op_solvable = False
@@ -246,4 +244,38 @@ def spline_equivalence_report(T, V, tol: Tolerances = DEFAULT_TOL) -> SplineEqui
             "spline equivalence flags disagree (rank-decision inconsistency)",
             {"conditions": conditions},
         )
-    return SplineEquivalenceReport(exists=op_solvable, conditions=conditions)
+    return ResultReport(exists=op_solvable, conditions=conditions)
+
+
+# Registry builders (see problems.REGISTRY): a validated manifest -> ResultReport
+def _build_spline(m) -> ResultReport:
+    T, V, f0 = m.matrices["T"], m.matrices["V"], m.matrices["f0"].ravel()
+    sol, fv = _spline_solve(T, V, f0, m.tolerances)
+    return ResultReport(
+        exists=True,
+        min_value=sol.min_value,
+        witness=sol.h.reshape(-1, 1),
+        residuals={
+            "interpolation": float(np.linalg.norm(V @ sol.h - f0)),
+            "normal_equation": sol.normal_residual,
+        },
+        diagnostics={"nullity_v": fv.null().dim},
+    )
+
+
+def _build_op_spline(m) -> ResultReport:
+    T, V, B0 = _check_op_dims(m.matrices["T"], m.matrices["V"], m.matrices["B0"])
+    fv = factor(V, m.tolerances)
+    value, X0, null_v = _operator_spline_min(T, fv, fv.lstsq(B0), m.p, m.tolerances)
+    return ResultReport(
+        exists=True,
+        min_value=value,
+        witness=X0,
+        residuals={
+            "constraint": float(np.linalg.norm(V @ X0 - B0)),
+            "normal_equation": float(
+                np.linalg.norm(null_v.projector() @ (T.conj().T @ (T @ X0)))
+            ),
+        },
+        diagnostics={"nullity_v": null_v.dim, "p": m.p},
+    )

@@ -20,6 +20,7 @@ from .linalg import (
     Tolerances,
     as_matrix,
     as_vector,
+    ensure_psd_weight,
     factor,
     matrix_rank,
     pinv,
@@ -28,6 +29,7 @@ from .linalg import (
     range_included,
     subspace_sum_rank,
 )
+from .result import ResultReport
 from .schatten import schatten_norm, weighted_schatten_norm
 from .shorted import CompatCertificate, _certificate, shorted, w_orthogonal_complement
 
@@ -91,11 +93,17 @@ def owls_min(A, W, p, tol: Tolerances = DEFAULT_TOL):
     R(A); the minimizer is the weighted inverse.  The achieved seminorm is
     cross-checked against the closed-form value before returning.
     """
+    return _owls(A, W, p, tol)[:2]
+
+
+def _owls(A, W, p, tol: Tolerances):
+    """``owls_min``, also returning the basis of R(A) it factored."""
     A, W = _check_wls_dims(A, W)
     G = w_inverse(A, W, tol)
     if G is None:
         raise NoMinimum("the normal equation is unsolvable under the current rank decisions")
-    return _owls_value(A, W, G, shorted(W, range_basis(A, tol), tol), p, tol), G
+    ra = range_basis(A, tol)
+    return _owls_value(A, W, G, shorted(W, ra, tol), p, tol), G, ra
 
 
 def _owls_value(A, W, G, shorted_w, p, tol: Tolerances) -> float:
@@ -196,4 +204,67 @@ def wls_existence_report(A, W, tol: Tolerances = DEFAULT_TOL, p=None) -> WlsRepo
         min_value_p=min_value_p,
         shorted_w=shorted_w,
         diagnostics=diagnostics,
+    )
+
+
+# Registry builders (see problems.REGISTRY): a validated manifest -> ResultReport
+def _weighted_inverse_residual(A, W, G) -> dict:
+    """{"normal_equation": ||A* W (A G - I)||_F}, the defect of a weighted
+    inverse G, or no residual when there is none."""
+    if G is None:
+        return {}
+    eye = np.eye(A.shape[0], dtype=complex)
+    return {"normal_equation": float(np.linalg.norm(A.conj().T @ W @ (A @ G - eye)))}
+
+
+def _build_wls(m) -> ResultReport:
+    A, W, x = m.matrices["A"], m.matrices["W"], m.matrices["x"].ravel()
+    u = wlss_solve(A, W, x, m.tolerances)
+    r = A @ u - x
+    return ResultReport(
+        exists=True,
+        min_value=float(np.linalg.norm(psd_sqrt(W, m.tolerances) @ r)),
+        witness=u.reshape(-1, 1),
+        residuals={"normal_equation": float(np.linalg.norm(A.conj().T @ W @ r))},
+        diagnostics={"rank_a": matrix_rank(A, m.tolerances)},
+    )
+
+
+def _build_w_inverse(m) -> ResultReport:
+    A, W = _check_wls_dims(m.matrices["A"], m.matrices["W"])
+    # validated before the solve: a non-PSD W can read as nonexistence
+    ensure_psd_weight(W, m.tolerances)
+    G = w_inverse(A, W, m.tolerances)
+    return ResultReport(
+        exists=G is not None,
+        witness=G,
+        residuals=_weighted_inverse_residual(A, W, G),
+        conditions={"normal_eq_solvable": G is not None},
+        diagnostics={"rank_a": matrix_rank(A, m.tolerances)},
+    )
+
+
+def _build_owls(m) -> ResultReport:
+    A, W = _check_wls_dims(m.matrices["A"], m.matrices["W"])
+    ensure_psd_weight(W, m.tolerances)
+    value, X0, ra = _owls(A, W, m.p, m.tolerances)
+    return ResultReport(
+        exists=True,
+        min_value=value,
+        witness=X0,
+        residuals=_weighted_inverse_residual(A, W, X0),
+        diagnostics={"rank_a": ra.dim, "p": m.p},
+    )
+
+
+def _build_report(m) -> ResultReport:
+    A, W = m.matrices["A"], m.matrices["W"]
+    rep = wls_existence_report(A, W, m.tolerances, p=m.p)
+    return ResultReport(
+        exists=rep.exists,
+        min_value=rep.min_value_p,
+        witness=rep.w_inverse,
+        residuals=_weighted_inverse_residual(A, W, rep.w_inverse),
+        conditions={**rep.conditions, "compatible": rep.compat.compatible},
+        diagnostics=rep.diagnostics,
     )

@@ -309,13 +309,45 @@ def test_sparse_coordinate_files_are_accepted(tmp_path):
 
 
 def test_non_psd_weight_is_dimension_error(tmp_path):
-    path = _write_manifest(
-        tmp_path,
-        "npsd.json",
-        {"problem": "shorted"},
-        {"W": np.diag([1.0, -1.0]), "S": [[1.0], [0.0]]},
+    # every kind that takes a weight W; A* W A = 0 here, so a solve that
+    # ran before W was validated would report nonexistence (exit 2)
+    a, w = [[1.0], [1.0]], np.diag([1.0, -1.0])
+    cases = [
+        ("wls", {"A": a, "W": w, "x": _col([1.0, 0.0])}, {}),
+        ("w-inverse", {"A": a, "W": w}, {}),
+        ("owls", {"A": a, "W": w}, {"p": 2}),
+        ("report", {"A": a, "W": w}, {}),
+        ("shorted", {"W": w, "S": [[1.0], [0.0]]}, {}),
+        ("compat", {"W": w, "S": [[1.0], [0.0]]}, {}),
+    ]
+    for problem, matrices, extra in cases:
+        path = _write_manifest(tmp_path, "npsd.json", {"problem": problem, **extra}, matrices)
+        assert main([path]) == 65, problem
+
+
+def _stderr_lines(manifest_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "opapprox.cli", manifest_path],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "OPAPPROX_LOG": "error"},
     )
-    assert main([path]) == 65
+    return proc.returncode, proc.stderr.splitlines()
+
+
+def test_each_failure_writes_one_stderr_line(tmp_path):
+    unknown = tmp_path / "unknown.json"
+    unknown.write_text(json.dumps({"problem": "nope"}))
+    code, lines = _stderr_lines(str(unknown))
+    assert code == 64
+    assert len(lines) == 1 and lines[0].startswith("opapprox: parse error: "), lines
+
+    missing = _write_manifest(
+        tmp_path, "missing.json", {"problem": "wls"}, {"A": [[1.0], [1.0]], "x": _col([1.0, 0.0])}
+    )
+    code, lines = _stderr_lines(missing)
+    assert code == 65
+    assert len(lines) == 1 and lines[0].startswith("opapprox: dimension error: "), lines
 
 
 def test_large_witness_goes_to_sidecar(tmp_path):

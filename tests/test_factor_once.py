@@ -1,6 +1,7 @@
-"""Each existence report factors each distinct operator a constant number
-of times, and its batched basis solves agree with the public
-single-vector solvers."""
+"""Each existence report, and each registry row run through the CLI,
+factors each distinct operator a constant number of times, and the
+batched basis solves of a report agree with the public single-vector
+solvers."""
 
 import sys
 
@@ -16,6 +17,7 @@ from opapprox import (
     hat_equivalence_check,
     is_abstract_spline,
     is_compatible,
+    owls_min,
     smoothing_equivalence_report,
     smoothing_solve,
     spline_equivalence_report,
@@ -23,7 +25,10 @@ from opapprox import (
     wls_existence_report,
     wlss_solve,
 )
+from opapprox.cli import execute
 from opapprox.linalg import factor, range_basis
+from opapprox.manifest import ProblemManifest
+from opapprox.problems import REGISTRY
 from opapprox.spline import _spline_columns
 
 RTOL = DEFAULT_TOL.residual_rtol
@@ -81,6 +86,66 @@ def test_factorization_count_does_not_grow_with_n(svd_calls, report, deficient):
         counts.append(svd_calls[0])
     assert counts[0] == counts[1], counts
     assert counts[0] > 0
+
+
+def _role_matrices(n, deficient):
+    """A matrix for every registry role; f0 and B0 lie in R(V), so the
+    spline rows solve."""
+    A, W, T, V, blocks = _instances(n, deficient)
+    rng = np.random.default_rng([n, int(deficient), 1])
+    return {
+        "A": A, "W": W, "x": cgauss(rng, n, 1),
+        "T": T, "V": V, "f0": V @ cgauss(rng, n, 1), "B0": V @ cgauss(rng, n, n),
+        "W11": blocks.w11, "W12": blocks.w12, "W22": blocks.w22,
+        "S": cgauss(rng, n, n // 4),
+    }
+
+
+def _execute(row, matrices):
+    manifest = ProblemManifest(
+        problem=row.kind,
+        matrices={role: matrices[role] for role in row.roles},
+        p=1.5 if row.needs_p else None,
+        tolerances=DEFAULT_TOL,
+        seed=0,
+    )
+    return execute(manifest)
+
+
+ROWS = {f"{row.kind}:{','.join(row.roles)}": row for row in REGISTRY}
+
+
+@pytest.mark.parametrize("deficient", [False, True], ids=["full_rank", "rank_deficient"])
+@pytest.mark.parametrize("row", sorted(ROWS))
+def test_registry_row_factorization_count_does_not_grow_with_n(svd_calls, row, deficient):
+    counts = []
+    for n in (8, 32):
+        matrices = _role_matrices(n, deficient)
+        svd_calls[0] = 0
+        _execute(ROWS[row], matrices)
+        counts.append(svd_calls[0])
+    assert counts[0] == counts[1], counts
+    assert counts[0] > 0
+
+
+SOLVERS = {
+    "owls": lambda m: owls_min(m["A"], m["W"], 1.5),
+    "spline": lambda m: spline_solve(m["T"], m["V"], m["f0"]),
+}
+
+
+@pytest.mark.parametrize("deficient", [False, True], ids=["full_rank", "rank_deficient"])
+@pytest.mark.parametrize("kind", sorted(SOLVERS))
+def test_registry_row_factors_nothing_beyond_its_solver(svd_calls, kind, deficient):
+    # the rank and nullity diagnostics are read off the solver's factorizations
+    matrices = _role_matrices(16, deficient)
+    row = next(row for row in REGISTRY if row.kind == kind)
+    svd_calls[0] = 0
+    assert _execute(row, matrices).exists
+    through_registry = svd_calls[0]
+    svd_calls[0] = 0
+    SOLVERS[kind](matrices)
+    assert through_registry == svd_calls[0]
 
 
 def _rel(a, b):
