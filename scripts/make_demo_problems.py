@@ -21,51 +21,59 @@ def _write(dirname, name, matrix):
     return name
 
 
+DEMOS = {
+    "wls": (
+        {"problem": "wls"},
+        {"A": [[1.0], [1.0]], "W": np.diag([2.0, 1.0]), "x": [[1.0], [0.0]]},
+    ),
+    "owls": (
+        {"problem": "owls", "p": 2},
+        {"A": [[1.0], [0.0]], "W": np.diag([1.0, 4.0])},
+    ),
+    "shorted": (
+        {"problem": "shorted"},
+        {"W": [[2.0, 1.0], [1.0, 1.0]], "S": [[1.0], [0.0]]},
+    ),
+    "spline": (
+        {"problem": "spline"},
+        {"T": [[1.0, 1.0], [0.0, 1.0]], "V": [[1.0, 0.0]], "f0": [[1.0]]},
+    ),
+    "smoothing": (
+        {"problem": "smoothing"},
+        {"T": [[1.0]], "V": [[2.0]], "f0": [[1.0]]},
+    ),
+    "opt_inverse": (
+        {"problem": "opt-inverse"},
+        {"A": [[1.0]], "W11": [[1.0]], "W12": [[0.0]], "W22": [[1.0]]},
+    ),
+    "chain_report": (
+        {"problem": "report", "seed": 7},
+        {
+            "T": np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 2.0]]),
+            "V": np.array([[1.0, 1.0, 1.0]]),
+        },
+    ),
+}
+
+
+def write_demos(outdir: str) -> list:
+    """Write every demo manifest and its matrix files into ``outdir``;
+    return the manifest names."""
+    os.makedirs(outdir, exist_ok=True)
+    for name, (spec, matrices) in DEMOS.items():
+        spec = dict(spec)
+        for role, matrix in matrices.items():
+            spec[role] = _write(outdir, f"{name}_{role}.mtx", matrix)
+        with open(os.path.join(outdir, f"{name}.json"), "w", encoding="utf-8") as fh:
+            json.dump(spec, fh, indent=2)
+    return list(DEMOS)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("outdir", nargs="?", default="demo")
     args = parser.parse_args()
-    os.makedirs(args.outdir, exist_ok=True)
-
-    demos = {
-        "wls": (
-            {"problem": "wls"},
-            {"A": [[1.0], [1.0]], "W": np.diag([2.0, 1.0]), "x": [[1.0], [0.0]]},
-        ),
-        "owls": (
-            {"problem": "owls", "p": 2},
-            {"A": [[1.0], [0.0]], "W": np.diag([1.0, 4.0])},
-        ),
-        "shorted": (
-            {"problem": "shorted"},
-            {"W": [[2.0, 1.0], [1.0, 1.0]], "S": [[1.0], [0.0]]},
-        ),
-        "spline": (
-            {"problem": "spline"},
-            {"T": [[1.0, 1.0], [0.0, 1.0]], "V": [[1.0, 0.0]], "f0": [[1.0]]},
-        ),
-        "smoothing": (
-            {"problem": "smoothing"},
-            {"T": [[1.0]], "V": [[2.0]], "f0": [[1.0]]},
-        ),
-        "opt_inverse": (
-            {"problem": "opt-inverse"},
-            {"A": [[1.0]], "W11": [[1.0]], "W12": [[0.0]], "W22": [[1.0]]},
-        ),
-        "chain_report": (
-            {"problem": "report", "seed": 7},
-            {
-                "T": np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 2.0]]),
-                "V": np.array([[1.0, 1.0, 1.0]]),
-            },
-        ),
-    }
-
-    for name, (spec, matrices) in demos.items():
-        for role, matrix in matrices.items():
-            spec[role] = _write(args.outdir, f"{name}_{role}.mtx", matrix)
-        with open(os.path.join(args.outdir, f"{name}.json"), "w", encoding="utf-8") as fh:
-            json.dump(spec, fh, indent=2)
+    for name in write_demos(args.outdir):
         print(f"wrote {name}.json")
 
     print(f"\nrun them with:  opapprox --batch {args.outdir}")

@@ -2,20 +2,33 @@
 
 Everything downstream reduces to the primitives here: SVD-based rank
 decisions, pseudoinverses, orthonormal subspace bases, range-inclusion
-tests, and Hermitian PSD square roots.  All scalars are complex double
-precision; real input is embedded.  "Closed range" is automatic in finite
-dimensions, so every range/nullspace statement becomes a rank decision
-governed by ``rank_rtol``.
+tests, and Hermitian PSD weights with their square roots.  All scalars
+are complex double precision; real input is embedded.  "Closed range" is
+automatic in finite dimensions, so every range/nullspace statement
+becomes a rank decision governed by ``rank_rtol``.
 
 A ``Factorization`` (built by ``factor``) holds one SVD of a matrix and its
 rank decision, and answers every question about that matrix: ``pinv``,
 ``range``, ``null``, ``solve`` (the range-inclusion test with its factor)
-and ``lstsq`` (the same solve with every column's residual).  ``pinv``, ``range_basis``, ``null_basis``, ``matrix_rank`` and
-``range_included`` are one-shot wrappers over it.  A caller that asks
-several questions of one operator, or solves for many right-hand sides,
-factors it once and passes the value along, so the SVD count of a report
-does not grow with the dimension.  Every SVD goes through
-``svd_with_rank``.
+and ``lstsq`` (the same solve with every column's residual).  ``pinv``,
+``range_basis``, ``null_basis``, ``matrix_rank`` and ``range_included``
+are one-shot wrappers over it.  A caller that asks several questions of
+one operator, or solves for many right-hand sides, factors it once and
+passes the value along, so the SVD count of a report does not grow with
+the dimension.  Every SVD goes through ``svd_with_rank``.
+
+A ``PsdWeight`` (built by ``psd_weight``) is the same idea for a weight:
+one ``eigh`` of the Hermitized matrix validates it (NotPsd) and gives
+lambda_max, the rank decision and W^{1/2}.  ``psd_sqrt``,
+``ensure_psd_weight`` and the weight-taking routines of ``shorted`` and
+``schatten`` accept a PsdWeight in place of a matrix and read it instead
+of validating or decomposing again.  A shorted operator is built in the
+same form from the eigendecomposition of its Schur complement, so its
+root costs no further decomposition.  ``ensure_psd_weight`` on a matrix
+validates with ``eigvalsh`` alone, for callers that need nothing else of
+the weight.  Subspace questions follow the same rule: the compatibility
+certificate in ``shorted`` reads dim(S + S^{perp_W}) and the overlap
+S cap S^{perp_W} off one factorization of the stacked bases.
 """
 
 from __future__ import annotations
@@ -234,26 +247,99 @@ def hermitize(M) -> np.ndarray:
     return (M + M.conj().T) / 2.0
 
 
-def ensure_psd_weight(W, tol: Tolerances = DEFAULT_TOL, name: str = "W") -> np.ndarray:
-    """Validate a Hermitian PSD weight and return its Hermitized copy.
+@dataclass(frozen=True, eq=False)
+class PsdWeight:
+    """A validated Hermitian PSD weight held as one eigendecomposition.
 
-    Raises NotPsd when W is visibly non-Hermitian or has an eigenvalue
-    below -rank_rtol * lambda_max.
+    ``matrix`` is the Hermitized weight and equals
+    ``vectors @ diag(eigvals) @ vectors*`` (``vectors`` has orthonormal
+    columns; it may have fewer columns than rows when the remaining
+    eigenvalues are zero).  ``lam_max``, the rank decision and the square
+    root are read off the decomposition, so a routine handed a PsdWeight
+    neither validates nor decomposes it again.  Decisions use ``tol``,
+    the tolerances it was built with.
     """
+
+    matrix: np.ndarray
+    eigvals: np.ndarray
+    vectors: np.ndarray
+    tol: Tolerances
+
+    @property
+    def shape(self) -> tuple:
+        return self.matrix.shape
+
+    @property
+    def lam_max(self) -> float:
+        return max(float(self.eigvals.max()), 0.0) if self.eigvals.size else 0.0
+
+    @property
+    def rank(self) -> int:
+        """Eigenvalues above rank_rtol * lambda_max; for a PSD weight these are
+        the singular values above the ``svd_with_rank`` cutoff."""
+        return int(np.count_nonzero(self.eigvals > self.tol.rank_rtol * self.lam_max))
+
+    @cached_property
+    def sqrt(self) -> np.ndarray:
+        """Hermitian PSD square root; eigenvalues within the rank cutoff of
+        zero (either sign) are clamped to zero first, so the root's rank is
+        the weight's rank.  Formed on first use; do not modify it."""
+        w = np.where(self.eigvals > self.tol.rank_rtol * self.lam_max, self.eigvals, 0.0)
+        Q = self.vectors
+        return hermitize((Q * np.sqrt(w)) @ Q.conj().T)
+
+
+def _hermitian_part(W, tol: Tolerances, name: str) -> np.ndarray:
+    """The Hermitized copy of a square W; NotPsd when W is visibly
+    non-Hermitian, relative to its own norm."""
     W = as_matrix(W, name)
     if W.shape[0] != W.shape[1]:
         raise InconsistentDims(f"{name} must be square, got shape {W.shape}")
     dev = np.linalg.norm(W - W.conj().T)
-    if dev > tol.residual_rtol * max(np.linalg.norm(W), 1.0):
+    if dev > tol.residual_rtol * np.linalg.norm(W):
         raise NotPsd(f"{name} is not Hermitian (asymmetry {dev:.3e})")
-    H = hermitize(W)
-    eigvals = np.linalg.eigvalsh(H) if H.size else np.zeros(0)
+    return hermitize(W)
+
+
+def _check_spectrum(eigvals: np.ndarray, tol: Tolerances, name: str) -> None:
+    """NotPsd when an eigenvalue lies below -rank_rtol * lambda_max."""
     lam_max = max(float(eigvals.max()), 0.0) if eigvals.size else 0.0
     if eigvals.size and float(eigvals.min()) < -tol.rank_rtol * lam_max:
         raise NotPsd(
             f"{name} has eigenvalue {eigvals.min():.3e} below -rank_rtol*lambda_max "
             f"= {-tol.rank_rtol * lam_max:.3e}"
         )
+
+
+def psd_weight(W, tol: Tolerances = DEFAULT_TOL, name: str = "W") -> PsdWeight:
+    """Validate a Hermitian PSD weight with one ``eigh``; a PsdWeight passes
+    through unchanged.
+
+    Raises NotPsd when W is visibly non-Hermitian or has an eigenvalue
+    below -rank_rtol * lambda_max.
+    """
+    if isinstance(W, PsdWeight):
+        return W
+    H = _hermitian_part(W, tol, name)
+    if H.size:
+        eigvals, vectors = np.linalg.eigh(H)
+    else:
+        eigvals, vectors = np.zeros(0), H.copy()
+    _check_spectrum(eigvals, tol, name)
+    return PsdWeight(H, eigvals, vectors, tol)
+
+
+def ensure_psd_weight(W, tol: Tolerances = DEFAULT_TOL, name: str = "W") -> np.ndarray:
+    """Validate a Hermitian PSD weight and return its Hermitized copy.
+
+    The same rule as ``psd_weight``, for callers that need the matrix
+    alone: a matrix is checked on its eigenvalues only (no eigenvectors),
+    and a PsdWeight is already valid.
+    """
+    if isinstance(W, PsdWeight):
+        return W.matrix
+    H = _hermitian_part(W, tol, name)
+    _check_spectrum(np.linalg.eigvalsh(H) if H.size else np.zeros(0), tol, name)
     return H
 
 
@@ -263,35 +349,9 @@ def psd_sqrt(W, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     Eigenvalues below -rank_rtol*lambda_max raise NotPsd; eigenvalues
     within the rank cutoff of zero (either sign) are clamped to zero before
     the root, so the root's rank matches the rank decision on W and the
-    clamp is idempotent.
+    clamp is idempotent.  A PsdWeight's root is read off its decomposition.
     """
-    H = ensure_psd_weight(W, tol)
-    if H.shape[0] == 0:
-        return H.copy()
-    w, Q = np.linalg.eigh(H)
-    lam_max = max(float(w.max()), 0.0)
-    w = np.where(w > tol.rank_rtol * lam_max, w, 0.0)
-    return hermitize((Q * np.sqrt(w)) @ Q.conj().T)
-
-
-def subspace_sum_rank(a: Subspace, b: Subspace, tol: Tolerances = DEFAULT_TOL) -> int:
-    """dim(A + B) via the rank of the stacked bases."""
-    if a.ambient_dim != b.ambient_dim:
-        raise InconsistentDims("subspaces live in different ambient dimensions")
-    return matrix_rank(np.hstack([a.basis, b.basis]), tol)
-
-
-def intersection(a: Subspace, b: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:
-    """Orthonormal basis of A intersect B."""
-    if a.ambient_dim != b.ambient_dim:
-        raise InconsistentDims("subspaces live in different ambient dimensions")
-    if a.dim == 0 or b.dim == 0:
-        return trivial_subspace(a.ambient_dim)
-    # v = A x = B y  <=>  (x, y) in null([A | -B]); read v off the A block.
-    coeffs = null_basis(np.hstack([a.basis, -b.basis]), tol)
-    if coeffs.dim == 0:
-        return trivial_subspace(a.ambient_dim)
-    return range_basis(a.basis @ coeffs.basis[: a.dim, :], tol)
+    return psd_weight(W, tol).sqrt
 
 
 def complement_within(outer: Subspace, inner: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:

@@ -12,7 +12,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InconsistentDims, UnsupportedIndex
-from .linalg import DEFAULT_TOL, Tolerances, as_matrix, hermitize, psd_sqrt, svd_with_rank
+from .linalg import (
+    DEFAULT_TOL,
+    PsdWeight,
+    Tolerances,
+    as_matrix,
+    hermitize,
+    psd_sqrt,
+    svd_with_rank,
+)
 
 
 def _check_index(p) -> float:
@@ -45,9 +53,12 @@ def schatten_norm(X, p) -> float:
 
 
 def weighted_schatten_norm(Y, W, p, tol: Tolerances = DEFAULT_TOL) -> float:
-    """p-Schatten norm of W^{1/2} Y, the weighted p-seminorm of Y."""
+    """p-Schatten norm of W^{1/2} Y, the weighted p-seminorm of Y.
+
+    W may be a matrix or a PsdWeight, whose root is reused.
+    """
     Y = as_matrix(Y, "Y")
-    W = as_matrix(W, "W")
+    W = W if isinstance(W, PsdWeight) else as_matrix(W, "W")
     if W.shape[1] != Y.shape[0]:
         raise InconsistentDims(
             f"weight dimension {W.shape} does not match codomain of Y {Y.shape}"

@@ -17,18 +17,19 @@ import numpy as np
 from .errors import InconsistentDims
 from .linalg import (
     DEFAULT_TOL,
+    PsdWeight,
     Subspace,
     Tolerances,
     complement_within,
     ensure_psd_weight,
+    factor,
     hermitize,
-    intersection,
-    matrix_rank,
     null_basis,
     orthogonal_complement,
     pinv,
+    psd_weight,
     range_basis,
-    subspace_sum_rank,
+    trivial_subspace,
 )
 from .result import ResultReport
 
@@ -49,22 +50,21 @@ class CompatCertificate:
     projection: np.ndarray | None = None
 
 
-def _check_pair(W, S: Subspace, tol: Tolerances):
-    W = ensure_psd_weight(W, tol)
+def _check_ambient(W: np.ndarray, S: Subspace) -> None:
     if W.shape[0] != S.ambient_dim:
         raise InconsistentDims(
             f"weight dimension {W.shape[0]} does not match ambient dimension {S.ambient_dim}"
         )
-    return W
 
 
 def w_orthogonal_complement(W, S: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """The W-orthogonal complement {x : <Wx, s> = 0 for all s in S}.
 
     Computed as the nullspace of B_S* W, which equals the preimage of
-    S-perp under W.
+    S-perp under W.  W may be a matrix or a PsdWeight.
     """
-    W = _check_pair(W, S, tol)
+    W = ensure_psd_weight(W, tol)
+    _check_ambient(W, S)
     return null_basis(S.basis.conj().T @ W, tol)
 
 
@@ -73,9 +73,17 @@ def shorted(W, S: Subspace, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
     In the orthonormal block split F = S (+) S-perp with
     W = [[a, b], [b*, c]], this is the Schur complement c - b* a^+ b,
-    embedded back into the S-perp block.
+    embedded back into the S-perp block.  W may be a matrix or a PsdWeight.
     """
-    W = _check_pair(W, S, tol)
+    return _shorted(W, S, tol).matrix
+
+
+def _shorted(W, S: Subspace, tol: Tolerances) -> PsdWeight:
+    """``shorted``, held as the PsdWeight of its clamped eigendecomposition,
+    so that its square root needs no further decomposition."""
+    weight = psd_weight(W, tol)
+    W = weight.matrix
+    _check_ambient(W, S)
     Bs = S.basis
     Bp = orthogonal_complement(S, tol).basis
     a = Bs.conj().T @ W @ Bs
@@ -85,12 +93,12 @@ def shorted(W, S: Subspace, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     # The difference c - b* a^+ b cancels to the noise floor of W's scale
     # when the complement is genuinely singular, so its rank decision must
     # be taken relative to W, not to the (possibly all-noise) result.
+    eigvals, q = np.zeros(0), schur
     if schur.size:
-        lam_w = max(float(np.linalg.eigvalsh(W).max()), 0.0)
         eigvals, q = np.linalg.eigh(schur)
-        eigvals = np.where(eigvals > tol.rank_rtol * lam_w, eigvals, 0.0)
+        eigvals = np.where(eigvals > tol.rank_rtol * weight.lam_max, eigvals, 0.0)
         schur = (q * eigvals) @ q.conj().T
-    return hermitize(Bp @ schur @ Bp.conj().T)
+    return PsdWeight(hermitize(Bp @ schur @ Bp.conj().T), eigvals, Bp @ q, tol)
 
 
 def is_compatible(W, S: Subspace, tol: Tolerances = DEFAULT_TOL) -> CompatCertificate:
@@ -101,21 +109,28 @@ def is_compatible(W, S: Subspace, tol: Tolerances = DEFAULT_TOL) -> CompatCertif
     S cap S^{perp_W} removed from the nullspace side; when the overlap is
     trivial this is the unique projection onto S along S^{perp_W}.  Any
     such choice satisfies W Q = Q* W; this one is fixed for determinism.
+    W may be a matrix or a PsdWeight.
     """
-    perp_w = w_orthogonal_complement(W, S, tol)  # validates W
-    return _certificate(S, perp_w, subspace_sum_rank(S, perp_w, tol), tol)
+    return _certificate(S, w_orthogonal_complement(W, S, tol), tol)
 
 
-def _certificate(
-    S: Subspace, perp_w: Subspace, sum_rank: int, tol: Tolerances
-) -> CompatCertificate:
+def _certificate(S: Subspace, perp_w: Subspace, tol: Tolerances) -> CompatCertificate:
     """The body of ``is_compatible`` for a caller that already holds
-    S^{perp_W} (from ``w_orthogonal_complement``) and dim(S + S^{perp_W})."""
+    S^{perp_W} (from ``w_orthogonal_complement``).
+
+    One SVD of [S | S^{perp_W}] decides both the sum rank and the overlap:
+    (x, y) lies in its nullspace iff S x = -S^{perp_W} y, so S times the S
+    block of the null basis spans S cap S^{perp_W}.  (The nullspace of
+    [S | -S^{perp_W}] is diag(I, -I) times this one: the same S block.)
+    """
     n = S.ambient_dim
+    stacked = factor(np.hstack([S.basis, perp_w.basis]), tol)
+    sum_rank = stacked.rank
     if sum_rank != n:
         return CompatCertificate(False, S, perp_w, sum_rank, None)
 
-    overlap = intersection(S, perp_w, tol)
+    coeffs = stacked.null().basis[: S.dim, :]
+    overlap = range_basis(S.basis @ coeffs, tol) if coeffs.shape[1] else trivial_subspace(n)
     null_side = complement_within(perp_w, overlap, tol) if overlap.dim else perp_w
     M = np.hstack([S.basis, null_side.basis])
     if M.shape[1] != n:
@@ -131,7 +146,7 @@ def _certificate(
 
 # Registry builders (see problems.REGISTRY): a validated manifest -> ResultReport
 def _build_shorted(m) -> ResultReport:
-    W = m.matrices["W"]
+    W = psd_weight(m.matrices["W"], m.tolerances)
     # the S file may hold any spanning set; its range defines the subspace
     S = range_basis(m.matrices["S"], m.tolerances)
     sigma = shorted(W, S, m.tolerances)
@@ -142,7 +157,7 @@ def _build_shorted(m) -> ResultReport:
             "hermitian_defect": float(np.linalg.norm(sigma - sigma.conj().T)),
             "range_defect": float(np.linalg.norm(S.projector() @ sigma)),
         },
-        diagnostics={"dim_s": S.dim, "rank_w": matrix_rank(W, m.tolerances)},
+        diagnostics={"dim_s": S.dim, "rank_w": W.rank},
     )
 
 

@@ -30,7 +30,7 @@ from .linalg import (
 )
 from .result import ResultReport
 from .shorted import CompatCertificate, is_compatible
-from .spline import _check_tv_dims, spline_equivalence_report
+from .spline import _check_tv_dims, _spline_equivalence, _tt_weight
 from .wls import w_inverse
 
 
@@ -270,12 +270,16 @@ def smoothing_equivalence_report(
     their columns are G.  The optimal inverse factors its own lifted Gram,
     dominance is sampled, and compatibility is decided on N(V).
     """
-    return _smoothing_equivalence(T, V, tol, rng, samples)[0]
-
-
-def _smoothing_equivalence(T, V, tol: Tolerances, rng, samples: int = 100):
-    """``smoothing_equivalence_report``, also returning its residual V* - gram G."""
     T, V = _check_tv_dims(T, V)
+    compat = is_compatible(T.conj().T @ T, null_basis(V, tol), tol)
+    return _smoothing_equivalence(T, V, compat, tol, rng, samples)[0]
+
+
+def _smoothing_equivalence(
+    T, V, compat: CompatCertificate, tol: Tolerances, rng, samples: int = 100
+):
+    """``smoothing_equivalence_report`` with the certificate of (T*T, N(V))
+    already decided, also returning its residual V* - gram G."""
     if rng is None:
         rng = np.random.default_rng(0)
     f_dim, n = V.shape
@@ -297,20 +301,7 @@ def _smoothing_equivalence(T, V, tol: Tolerances, rng, samples: int = 100):
     )
     g_opt = optimal_inverse(V, blocks, tol)
 
-    dominance_ok = True
-    worst_gap = 0.0
-    for _ in range(samples):
-        f = rng.standard_normal(f_dim) + 1j * rng.standard_normal(f_dim)
-        h = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        gf = G @ f
-        best = np.linalg.norm(T @ gf) ** 2 + np.linalg.norm(V @ gf - f) ** 2
-        other = np.linalg.norm(T @ h) ** 2 + np.linalg.norm(V @ h - f) ** 2
-        gap = best - other
-        worst_gap = max(worst_gap, gap)
-        if gap > 1e-10 * max(other, 1.0):
-            dominance_ok = False
-
-    compat = is_compatible(T.conj().T @ T, null_basis(V, tol), tol)
+    dominance_ok, worst_gap = _dominance(T, V, G, rng, samples)
 
     conditions = {
         "range_inclusion": bool(range_ok),
@@ -337,6 +328,28 @@ def _smoothing_equivalence(T, V, tol: Tolerances, rng, samples: int = 100):
         compat=compat,
         diagnostics=diagnostics,
     ), R
+
+
+def _dominance(T, V, G, rng, samples: int):
+    """Sampled global dominance of G: for random pairs (f, h), the smoothing
+    objective for f at G f exceeds the one at h by at most 1e-10 times
+    max(objective at h, 1).  Returns (flag, largest gap, at least 0).
+
+    All samples are one draw: row k holds sample k's f and h, real parts
+    before imaginary ones, which is the stream a per-sample loop draws.
+    """
+    f_dim, n = V.shape
+    draws = rng.standard_normal((samples, 2 * f_dim + 2 * n))
+    F = (draws[:, :f_dim] + 1j * draws[:, f_dim : 2 * f_dim]).T
+    H = (draws[:, 2 * f_dim : 2 * f_dim + n] + 1j * draws[:, 2 * f_dim + n :]).T
+    GF = G @ F
+
+    def objective(X):
+        return np.linalg.norm(T @ X, axis=0) ** 2 + np.linalg.norm(V @ X - F, axis=0) ** 2
+
+    other = objective(H)
+    gap = objective(GF) - other
+    return not np.any(gap > 1e-10 * np.maximum(other, 1.0)), float(np.max(gap, initial=0.0))
 
 
 # Registry builders (see problems.REGISTRY): a validated manifest -> ResultReport
@@ -374,9 +387,15 @@ def _build_opt_inverse(m) -> ResultReport:
 
 
 def _build_tv_report(m) -> ResultReport:
-    T, V = m.matrices["T"], m.matrices["V"]
-    smooth, R = _smoothing_equivalence(T, V, m.tolerances, np.random.default_rng(m.seed))
-    spline = spline_equivalence_report(T, V, m.tolerances)
+    T, V = _check_tv_dims(m.matrices["T"], m.matrices["V"])
+    tol = m.tolerances
+    # both chains read N(V) off one factorization of V and share one
+    # certificate of (T*T, N(V))
+    fv = factor(V, tol)
+    tt_weight = _tt_weight(T, tol)
+    compat = is_compatible(tt_weight, fv.null(), tol)
+    smooth, R = _smoothing_equivalence(T, V, compat, tol, np.random.default_rng(m.seed))
+    spline = _spline_equivalence(T, fv, tt_weight, compat, tol)
     conditions = {f"smoothing_{k}": v for k, v in smooth.conditions.items()}
     conditions.update(spline.conditions)
     G = smooth.global_solution

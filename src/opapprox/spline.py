@@ -20,6 +20,7 @@ from .errors import EquivalenceViolation, InconsistentDims, NotInRange
 from .linalg import (
     DEFAULT_TOL,
     Factorization,
+    PsdWeight,
     Subspace,
     Tolerances,
     as_matrix,
@@ -27,11 +28,11 @@ from .linalg import (
     factor,
     null_basis,
     pinv,
-    psd_sqrt,
+    psd_weight,
 )
 from .result import ResultReport
 from .schatten import schatten_norm
-from .shorted import is_compatible, shorted
+from .shorted import CompatCertificate, _shorted, is_compatible
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,7 +135,8 @@ def operator_spline_min(T, V, B0, p, tol: Tolerances = DEFAULT_TOL):
     """
     T, V, B0 = _check_op_dims(T, V, B0)
     fv = factor(V, tol)
-    return _operator_spline_min(T, fv, fv.lstsq(B0), p, tol)[:2]
+    anchor = _anchor(fv.lstsq(B0))
+    return _operator_spline_min(T, fv, anchor, _tt_weight(T, tol), p, tol)[:2]
 
 
 def _check_op_dims(T, V, B0):
@@ -145,22 +147,35 @@ def _check_op_dims(T, V, B0):
     return T, V, B0
 
 
-def _operator_spline_min(T, fv: Factorization, solved, p, tol: Tolerances):
-    """``operator_spline_min`` with V factored as ``fv`` and ``solved``
-    equal to ``fv.lstsq(B0)``; also returns N(V)."""
+def _tt_weight(T, tol: Tolerances) -> PsdWeight:
+    """T*T, the weight that is shorted to N(V)."""
+    return psd_weight(T.conj().T @ T, tol)
+
+
+def _anchor(solved) -> np.ndarray:
+    """V^+ B0 from ``solved = fv.lstsq(B0)``; NotInRange unless R(B0) lies in
+    R(V).  Decided before T*T is formed, so a nonexistent problem costs no
+    eigendecomposition."""
     anchor, _, included = solved
     if not included:
         raise NotInRange("R(B0) is not contained in R(V)")
+    return anchor
 
+
+def _operator_spline_min(T, fv: Factorization, anchor, tt_weight: PsdWeight, p, tol: Tolerances):
+    """``operator_spline_min`` with V factored as ``fv``, the anchor V^+ B0
+    from ``_anchor`` and ``tt_weight`` from ``_tt_weight``; also returns N(V)."""
     null_v = fv.null()
     Pn = null_v.projector()
+    # the normal equation takes T*T as computed; tt_weight holds its
+    # Hermitized copy, which can differ in the last bit
     tt = T.conj().T @ T
     M = Pn @ tt @ Pn
     Z = pinv(M, tol) @ (-Pn @ tt @ anchor)
     X0 = Pn @ Z + anchor
 
     # T*T shorted to N(V): block Schur complement, reused from the weight machinery
-    value = schatten_norm(psd_sqrt(shorted(tt, null_v, tol), tol) @ anchor, p)
+    value = schatten_norm(_shorted(tt_weight, null_v, tol).sqrt @ anchor, p)
     achieved = schatten_norm(T @ X0, p)
     if abs(achieved - value) > tol.residual_rtol * max(value, achieved, 1.0):
         raise EquivalenceViolation(
@@ -178,7 +193,8 @@ def global_spline_solution(T, V, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """
     T, V = _check_tv_dims(T, V)
     fv = factor(V, tol)
-    _, X0, null_v = _operator_spline_min(T, fv, fv.lstsq(V), 2, tol)
+    anchor = _anchor(fv.lstsq(V))
+    _, X0, null_v = _operator_spline_min(T, fv, anchor, _tt_weight(T, tol), 2, tol)
     return _project_off_null(X0, null_v)
 
 
@@ -208,14 +224,24 @@ def spline_equivalence_report(T, V, tol: Tolerances = DEFAULT_TOL) -> ResultRepo
     per-column tests as ``is_abstract_spline`` and ``spline_solve``.
     """
     T, V = _check_tv_dims(T, V)
+    fv = factor(V, tol)
+    tt_weight = _tt_weight(T, tol)
+    return _spline_equivalence(T, fv, tt_weight, is_compatible(tt_weight, fv.null(), tol), tol)
+
+
+def _spline_equivalence(
+    T, fv: Factorization, tt_weight: PsdWeight, compat: CompatCertificate, tol: Tolerances
+) -> ResultReport:
+    """``spline_equivalence_report`` with V factored as ``fv``, T*T as
+    ``tt_weight`` and the certificate of (T*T, N(V)) already decided."""
+    V = fv.matrix
     n = V.shape[1]
     basis = np.eye(n, dtype=complex)
     # B0 = V for the operator problem, and the pointwise anchors V e_i are
     # the columns of V: both start from the one solve V^+ V
-    fv = factor(V, tol)
     solved = fv.lstsq(V)
     try:
-        _, X0, _ = _operator_spline_min(T, fv, solved, 2, tol)
+        _, X0, _ = _operator_spline_min(T, fv, _anchor(solved), tt_weight, 2, tol)
         op_solvable = True
     except NotInRange:
         op_solvable = False
@@ -225,8 +251,6 @@ def spline_equivalence_report(T, V, tol: Tolerances = DEFAULT_TOL) -> ResultRepo
     if op_solvable:
         G = _project_off_null(X0, null_v)
         columns_ok = bool(np.all(_abstract_spline_columns(T, V, basis, G, null_v.basis, tol)))
-
-    compat = is_compatible(T.conj().T @ T, null_v, tol)
 
     # every anchor is solved, so a NotInRange from any of them still surfaces
     scale = max(np.linalg.norm(T) ** 2, 1.0)
@@ -265,8 +289,10 @@ def _build_spline(m) -> ResultReport:
 
 def _build_op_spline(m) -> ResultReport:
     T, V, B0 = _check_op_dims(m.matrices["T"], m.matrices["V"], m.matrices["B0"])
-    fv = factor(V, m.tolerances)
-    value, X0, null_v = _operator_spline_min(T, fv, fv.lstsq(B0), m.p, m.tolerances)
+    tol = m.tolerances
+    fv = factor(V, tol)
+    anchor = _anchor(fv.lstsq(B0))
+    value, X0, null_v = _operator_spline_min(T, fv, anchor, _tt_weight(T, tol), m.p, tol)
     return ResultReport(
         exists=True,
         min_value=value,

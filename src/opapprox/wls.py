@@ -25,13 +25,13 @@ from .linalg import (
     matrix_rank,
     pinv,
     psd_sqrt,
+    psd_weight,
     range_basis,
     range_included,
-    subspace_sum_rank,
 )
 from .result import ResultReport
 from .schatten import schatten_norm, weighted_schatten_norm
-from .shorted import CompatCertificate, _certificate, shorted, w_orthogonal_complement
+from .shorted import CompatCertificate, _certificate, _shorted, w_orthogonal_complement
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,21 +97,24 @@ def owls_min(A, W, p, tol: Tolerances = DEFAULT_TOL):
 
 
 def _owls(A, W, p, tol: Tolerances):
-    """``owls_min``, also returning the basis of R(A) it factored."""
+    """``owls_min``, also returning the basis of R(A) it factored.  W is
+    validated before the solve: a non-PSD W can read as nonexistence."""
     A, W = _check_wls_dims(A, W)
+    weight = psd_weight(W, tol)
     G = w_inverse(A, W, tol)
     if G is None:
         raise NoMinimum("the normal equation is unsolvable under the current rank decisions")
     ra = range_basis(A, tol)
-    return _owls_value(A, W, G, shorted(W, ra, tol), p, tol), G, ra
+    return _owls_value(A, weight, G, _shorted(weight, ra, tol), p, tol), G, ra
 
 
-def _owls_value(A, W, G, shorted_w, p, tol: Tolerances) -> float:
+def _owls_value(A, weight, G, shorted_w, p, tol: Tolerances) -> float:
     """The closed-form minimum from W shorted to R(A), cross-checked against
-    the weighted norm that the weighted inverse G achieves."""
-    value = schatten_norm(psd_sqrt(shorted_w, tol), p)
+    the weighted norm that the weighted inverse G achieves.  ``weight`` and
+    ``shorted_w`` are the PsdWeights of W and of W shorted to R(A)."""
+    value = schatten_norm(shorted_w.sqrt, p)
     eye = np.eye(A.shape[0], dtype=complex)
-    achieved = weighted_schatten_norm(A @ G - eye, W, p, tol)
+    achieved = weighted_schatten_norm(A @ G - eye, weight, p, tol)
     if abs(achieved - value) > tol.residual_rtol * max(value, achieved, 1.0):
         raise EquivalenceViolation(
             "achieved weighted norm disagrees with the shorted-operator value",
@@ -142,6 +145,7 @@ def wls_existence_report(A, W, tol: Tolerances = DEFAULT_TOL, p=None) -> WlsRepo
     operator minimum value and the shorted weight.
     """
     A, W = _check_wls_dims(A, W)
+    weight = psd_weight(W, tol)
     f_dim = A.shape[0]
     aw = A.conj().T @ W
     normal = factor(aw @ A, tol)
@@ -155,10 +159,11 @@ def wls_existence_report(A, W, tol: Tolerances = DEFAULT_TOL, p=None) -> WlsRepo
     residuals = [float(r) for r in np.linalg.norm(R, axis=0)]
     solvable_for_all = all(r <= tol.residual_rtol * scale for r in residuals)
 
-    # (ii) R(A) + W(R(A))-perp spans the whole codomain
+    # (ii) R(A) + W(R(A))-perp spans the whole codomain; its rank decision
+    # is the one of the compatibility certificate of (W, R(A))
     ra = range_basis(A, tol)
-    w_perp = w_orthogonal_complement(W, ra, tol)
-    sum_rank = subspace_sum_rank(ra, w_perp, tol)
+    compat = _certificate(ra, w_orthogonal_complement(weight, ra, tol), tol)
+    sum_rank = compat.sum_rank
     range_sum_full = sum_rank == f_dim
 
     # (iii) the normal equation A* W A X = A* W is solvable, and (iv) its
@@ -178,18 +183,16 @@ def wls_existence_report(A, W, tol: Tolerances = DEFAULT_TOL, p=None) -> WlsRepo
         )
     exists = all(conditions.values())
 
-    # the certificate of (W, R(A)) is built on the complement and sum rank
-    # that (ii) has just computed
-    compat = _certificate(ra, w_perp, sum_rank, tol)
     min_value_p = None
     shorted_w = None
     if p is not None and exists:
-        shorted_w = shorted(W, ra, tol)
-        min_value_p = _owls_value(A, W, G, shorted_w, p, tol)
+        shorted_weight = _shorted(weight, ra, tol)
+        min_value_p = _owls_value(A, weight, G, shorted_weight, p, tol)
+        shorted_w = shorted_weight.matrix
 
     diagnostics = {
         "rank_a": ra.dim,
-        "rank_w": matrix_rank(W, tol),
+        "rank_w": weight.rank,
         "sum_rank": sum_rank,
         "max_basis_residual": max(residuals) if residuals else 0.0,
         # finite dimensions: closedness of R(A)+N(W) and R(A) cap N(W) is automatic
@@ -245,8 +248,7 @@ def _build_w_inverse(m) -> ResultReport:
 
 
 def _build_owls(m) -> ResultReport:
-    A, W = _check_wls_dims(m.matrices["A"], m.matrices["W"])
-    ensure_psd_weight(W, m.tolerances)
+    A, W = m.matrices["A"], m.matrices["W"]
     value, X0, ra = _owls(A, W, m.p, m.tolerances)
     return ResultReport(
         exists=True,

@@ -1,7 +1,7 @@
 """Each existence report, and each registry row run through the CLI,
-factors each distinct operator a constant number of times, and the
-batched basis solves of a report agree with the public single-vector
-solvers."""
+factors each distinct operator a constant number of times and decomposes
+each distinct weight once, and the batched basis solves of a report agree
+with the public single-vector solvers."""
 
 import sys
 
@@ -50,19 +50,37 @@ def _instances(n, deficient, seed=0):
     return A, W, T, V, blocks
 
 
-@pytest.fixture
-def svd_calls(monkeypatch):
-    """Count svd_with_rank calls, through every opapprox alias of it."""
-    original = opapprox.linalg.svd_with_rank
-    calls = [0]
+def _count_calls(monkeypatch, owner, name, calls, record=None):
+    """Count calls of ``owner.name`` in ``calls[0]``, through every opapprox
+    alias of it; ``record`` also collects each call's first argument."""
+    original = getattr(owner, name)
 
     def counted(*args, **kwargs):
         calls[0] += 1
+        if record is not None:
+            record.append(args[0])
         return original(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("opapprox") and getattr(module, "svd_with_rank", None) is original:
-            monkeypatch.setattr(module, "svd_with_rank", counted)
+    monkeypatch.setattr(owner, name, counted)
+    for modname, module in list(sys.modules.items()):
+        if modname.startswith("opapprox") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Count svd_with_rank calls, through every opapprox alias of it."""
+    return _count_calls(monkeypatch, opapprox.linalg, "svd_with_rank", [0])
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """Count Hermitian eigendecompositions, numpy's eigh and eigvalsh
+    together, through every alias of them."""
+    calls = [0]
+    _count_calls(monkeypatch, np.linalg, "eigh", calls)
+    _count_calls(monkeypatch, np.linalg, "eigvalsh", calls)
     return calls
 
 
@@ -86,6 +104,79 @@ def test_factorization_count_does_not_grow_with_n(svd_calls, report, deficient):
         counts.append(svd_calls[0])
     assert counts[0] == counts[1], counts
     assert counts[0] > 0
+
+
+# the distinct weights each report decomposes, one eigendecomposition each
+WEIGHTS = {
+    "wls": 1,  # W
+    "wls_p": 2,  # W and W shorted to R(A)
+    "owls": 2,  # the same two
+    "smoothing": 2,  # T*T and the block weight (I, 0, T*T) of the optimal inverse
+    "spline": 2,  # T*T and T*T shorted to N(V)
+    "tv_report": 3,  # T*T, T*T shorted to N(V) and the block weight
+    "hat": 0,  # the block weight is validated when it is built
+}
+
+
+@pytest.mark.parametrize("deficient", [False, True], ids=["full_rank", "rank_deficient"])
+@pytest.mark.parametrize("report", sorted(WEIGHTS))
+def test_one_eigendecomposition_per_distinct_weight(eig_calls, report, deficient):
+    for n in (8, 32):
+        args = _instances(n, deficient)
+        matrices = _role_matrices(n, deficient)
+        eig_calls[0] = 0
+        if report == "owls":
+            owls_min(args[0], args[1], 1.5)
+        elif report == "tv_report":
+            _execute(ROWS["report:T,V"], matrices)
+        else:
+            REPORTS[report](*args)
+        assert eig_calls[0] == WEIGHTS[report], n
+
+
+def _overlapping_pair(n, overlap):
+    """A weight W and a subspace S; S meets N(W), hence S^{perp_W}, in
+    ``overlap`` dimensions."""
+    rng = np.random.default_rng([n, overlap])
+    W = random_psd(rng, n, rank=n - 2)
+    null_w = np.linalg.eigh(W)[1][:, :overlap]  # eigenvalues ascend: N(W) comes first
+    S = range_basis(np.hstack([null_w, cgauss(rng, n, n // 4)]))
+    return W, S
+
+
+@pytest.mark.parametrize("overlap", [0, 2])
+def test_is_compatible_makes_one_svd_of_the_stacked_bases(monkeypatch, overlap):
+    inputs = []
+    calls = _count_calls(monkeypatch, opapprox.linalg, "svd_with_rank", [0], record=inputs)
+    for n in (8, 32):
+        W, S = _overlapping_pair(n, overlap)
+        inputs.clear()
+        calls[0] = 0
+        cert = is_compatible(W, S)
+        assert cert.compatible
+        P = cert.s_perp_w_basis.basis
+        assert cert.sum_rank == n
+        stacked = [m for m in inputs if np.array_equal(m, np.hstack([S.basis, P]))]
+        assert len(stacked) == 1
+        # the overlap is read off the same SVD, not off [S | -P]
+        assert not any(np.array_equal(m, np.hstack([S.basis, -P])) for m in inputs)
+        # W(S)-perp, the stacked bases, and with an overlap its basis and
+        # its complement inside S^{perp_W}
+        assert calls[0] == (2 if overlap == 0 else 4)
+        if overlap:
+            q = cert.projection
+            assert np.linalg.norm(q @ q - q) <= 1e-8 * np.linalg.norm(q)
+
+
+@pytest.mark.parametrize("deficient", [False, True], ids=["full_rank", "rank_deficient"])
+def test_tv_report_decides_compatibility_once(monkeypatch, deficient):
+    # the module: the package attribute opapprox.shorted is the function
+    calls = _count_calls(monkeypatch, sys.modules["opapprox.shorted"], "is_compatible", [0])
+    for n in (8, 32):
+        matrices = _role_matrices(n, deficient)
+        calls[0] = 0
+        _execute(ROWS["report:T,V"], matrices)
+        assert calls[0] == 1, n
 
 
 def _role_matrices(n, deficient):

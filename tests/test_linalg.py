@@ -17,7 +17,7 @@ from opapprox import (
     range_included,
     trivial_subspace,
 )
-from opapprox.linalg import factor
+from opapprox.linalg import ensure_psd_weight, factor, psd_weight
 
 
 def test_tolerances_reject_out_of_range():
@@ -196,6 +196,43 @@ def test_psd_sqrt_clamp_idempotent():
         r = psd_sqrt(w)
         again = psd_sqrt(r @ r)
         assert np.linalg.norm(again - r) <= 1e-8 * max(np.linalg.norm(r), 1.0)
+
+
+@pytest.mark.parametrize("deficient", [False, True], ids=["full_rank", "rank_deficient"])
+def test_psd_weight_answers_match_the_one_shot_routines(deficient):
+    rng = np.random.default_rng([18, int(deficient)])
+    for _ in range(10):
+        n = int(rng.integers(1, 9))
+        w = random_psd(rng, n, rank=int(rng.integers(0, n)) if deficient else None)
+        weight = psd_weight(w)
+        assert psd_weight(weight) is weight
+        assert np.array_equal(weight.matrix, ensure_psd_weight(w))
+        assert ensure_psd_weight(weight) is weight.matrix
+        assert weight.rank == matrix_rank(w)
+        assert weight.lam_max == pytest.approx(np.linalg.norm(w, 2), rel=1e-12, abs=1e-300)
+        assert np.array_equal(weight.sqrt, psd_sqrt(w))
+        assert psd_sqrt(weight) is weight.sqrt
+
+
+@pytest.mark.parametrize("check", [ensure_psd_weight, psd_weight, psd_sqrt])
+@pytest.mark.parametrize("c", [1e-12, 1e12])
+def test_psd_validation_accepts_hermitian_weights_at_any_scale(check, c):
+    rng = np.random.default_rng(19)
+    w = random_psd(rng, 5, rank=3)
+    w = (w + w.conj().T) / 2  # exactly Hermitian, and so is c * w
+    check(c * w)
+
+
+@pytest.mark.parametrize("check", [ensure_psd_weight, psd_weight, psd_sqrt])
+def test_hermitian_check_is_relative_below_unit_scale(check):
+    # a 1e-3 relative asymmetry is visible at every scale, not only above 1
+    rng = np.random.default_rng(20)
+    c = 1e-12
+    w = random_psd(rng, 5)
+    skew = cgauss(rng, 5, 5)
+    w_bad = c * (w + 1e-3 * np.linalg.norm(w) * skew / np.linalg.norm(skew))
+    with pytest.raises(NotPsd, match="not Hermitian"):
+        check(w_bad)
 
 
 def test_trivial_subspace_projector():

@@ -10,7 +10,9 @@ from opapprox import (
     trivial_subspace,
     w_orthogonal_complement,
 )
+from opapprox.linalg import psd_sqrt, psd_weight
 from opapprox.oracles import shorted_variational
+from opapprox.shorted import _shorted
 
 SPAN_E1 = Subspace(np.array([[1.0], [0.0]], dtype=complex))
 W_COUPLED = np.array([[2.0, 1.0], [1.0, 1.0]], dtype=complex)
@@ -141,3 +143,20 @@ def test_compat_random_certificates():
         # range of the projection is exactly S
         assert np.allclose(q @ s.basis, s.basis, atol=1e-8)
         assert matrix_rank(q) == s.dim
+
+
+def test_shorted_weight_is_its_own_decomposition():
+    # the PsdWeight of W shorted to S holds the shorted matrix itself, and
+    # its root equals the root of a fresh decomposition of that matrix
+    rng = np.random.default_rng(9)
+    for _ in range(30):
+        w, s = _random_pair(rng)
+        weight = psd_weight(w)
+        sigma = _shorted(weight, s, weight.tol)
+        assert np.array_equal(sigma.matrix, shorted(w, s))
+        scale = max(np.linalg.norm(w), 1e-300)
+        decomposed = (sigma.vectors * sigma.eigvals) @ sigma.vectors.conj().T
+        assert np.linalg.norm(decomposed - sigma.matrix) <= 1e-12 * scale
+        root = psd_sqrt(sigma.matrix)
+        assert np.linalg.norm(sigma.sqrt - root) <= 1e-10 * max(np.linalg.norm(root), 1e-300)
+        assert sigma.rank == matrix_rank(sigma.matrix)

@@ -18,6 +18,7 @@ from opapprox import (
 )
 from opapprox.oracles import quadratic_min_over_affine, sampled_dominance
 from opapprox.linalg import full_subspace
+from opapprox.smoothing import _dominance
 
 
 def test_smoothing_scalar_instances():
@@ -253,3 +254,50 @@ def test_stationarity_of_operator_smoothing_minimizer():
             y = cgauss(rng, n, n)
             derivative = frechet_gp(t @ x0, t @ y, 2) + frechet_gp(v @ x0 - b0, v @ y, 2)
             assert abs(derivative) <= 1e-8 * scale * max(np.linalg.norm(y), 1.0)
+
+
+def _dominance_loop(T, V, G, rng, samples):
+    """The per-sample reference for the batched dominance check."""
+    f_dim, n = V.shape
+    ok, worst = True, 0.0
+    for _ in range(samples):
+        f = rng.standard_normal(f_dim) + 1j * rng.standard_normal(f_dim)
+        h = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        gf = G @ f
+        best = np.linalg.norm(T @ gf) ** 2 + np.linalg.norm(V @ gf - f) ** 2
+        other = np.linalg.norm(T @ h) ** 2 + np.linalg.norm(V @ h - f) ** 2
+        worst = max(worst, best - other)
+        if best - other > 1e-10 * max(other, 1.0):
+            ok = False
+    return ok, worst
+
+
+@pytest.mark.parametrize("perturbed", [False, True], ids=["optimal", "perturbed"])
+@pytest.mark.parametrize("seed", range(4))
+def test_batched_dominance_matches_per_sample_loop(seed, perturbed):
+    rng = np.random.default_rng([21, seed])
+    n = int(rng.integers(2, 9))
+    f_dim = int(rng.integers(1, n + 1))
+    T = random_rank_deficient(rng, n, n, n - 1) if seed % 2 else cgauss(rng, n, n)
+    V = cgauss(rng, f_dim, n)
+    G = pinv(T.conj().T @ T + V.conj().T @ V) @ V.conj().T
+    if perturbed:
+        # a visibly wrong G: some sampled h beats G f, so dominance fails
+        G = G + 0.5 * cgauss(rng, n, f_dim)
+    want = _dominance_loop(T, V, G, np.random.default_rng(seed), 100)
+    got = _dominance(T, V, G, np.random.default_rng(seed), 100)
+    assert got[0] == want[0] == (not perturbed)
+    # the batch sums in another order: the gaps agree to round-off of the
+    # objectives, which are O(n) here
+    assert got[1] == pytest.approx(want[1], rel=1e-12, abs=1e-13 * n)
+    if perturbed:
+        assert got[1] > 0.0
+
+
+def test_dominance_without_samples():
+    rng = np.random.default_rng(22)
+    T, V = cgauss(rng, 3, 3), cgauss(rng, 2, 3)
+    assert _dominance(T, V, np.zeros((3, 2)), np.random.default_rng(0), 0) == (True, 0.0)
+    rep = smoothing_equivalence_report(T, V, samples=0)
+    assert rep.exists
+    assert rep.diagnostics["worst_dominance_gap"] == 0.0
