@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import glob
 import logging
 import os
@@ -68,6 +69,7 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+@functools.cache  # the parser depends on no input; main() reuses it
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="opapprox",

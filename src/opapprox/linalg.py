@@ -279,14 +279,21 @@ class PsdWeight:
         the singular values above the ``svd_with_rank`` cutoff."""
         return int(np.count_nonzero(self.eigvals > self.tol.rank_rtol * self.lam_max))
 
+    @property
+    def root_eigvals(self) -> np.ndarray:
+        """The eigenvalues of ``sqrt``, which are also its singular values
+        (up to zeros): square roots of the eigenvalues, with those within
+        the rank cutoff of zero (either sign) clamped to zero first."""
+        kept = self.eigvals > self.tol.rank_rtol * self.lam_max
+        return np.sqrt(np.where(kept, self.eigvals, 0.0))
+
     @cached_property
     def sqrt(self) -> np.ndarray:
-        """Hermitian PSD square root; eigenvalues within the rank cutoff of
-        zero (either sign) are clamped to zero first, so the root's rank is
-        the weight's rank.  Formed on first use; do not modify it."""
-        w = np.where(self.eigvals > self.tol.rank_rtol * self.lam_max, self.eigvals, 0.0)
+        """Hermitian PSD square root with eigenvalues ``root_eigvals``, so the
+        root's rank is the weight's rank.  Formed on first use; do not
+        modify it."""
         Q = self.vectors
-        return hermitize((Q * np.sqrt(w)) @ Q.conj().T)
+        return hermitize((Q * self.root_eigvals) @ Q.conj().T)
 
 
 def _hermitian_part(W, tol: Tolerances, name: str) -> np.ndarray:

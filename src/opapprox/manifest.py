@@ -5,7 +5,10 @@ keyed by role, and optional ``p``, ``tolerances``, ``seed``.  Unknown
 fields are rejected rather than ignored; silent typos in numeric
 experiments are costly.  Matrix files use the Matrix Market exchange
 format (dense array or sparse coordinate, real or complex); vectors are
-n-by-1 matrices.
+n-by-1 matrices.  Files are read and written on the calling thread:
+scipy's Matrix Market reader otherwise starts one thread per CPU for every
+file, which nearly doubled the cost of reading a small file and crashed the
+process (SIGFPE) on a file with zero rows.
 
 Reports serialize with sorted keys and every float printed with 17
 significant digits, so identical inputs produce byte-identical output and
@@ -19,11 +22,13 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.io
 import scipy.sparse
+from scipy.io import _fast_matrix_market
 
 from .errors import ParseError
 from .linalg import Tolerances
@@ -46,10 +51,25 @@ class ProblemManifest:
     source: str = "<memory>"
 
 
+@contextmanager
+def _one_thread():
+    """Run scipy's Matrix Market reader and writer on one thread, restoring
+    the caller's setting afterwards (0, scipy's default, is one per CPU).
+    The setting is a scipy module global, so two threads must not read
+    files through here at once."""
+    saved = _fast_matrix_market.PARALLELISM
+    _fast_matrix_market.PARALLELISM = 1
+    try:
+        yield
+    finally:
+        _fast_matrix_market.PARALLELISM = saved
+
+
 def read_matrix(path: str) -> np.ndarray:
     """Read a Matrix Market file as a dense complex matrix."""
     try:
-        m = scipy.io.mmread(path)
+        with _one_thread():
+            m = scipy.io.mmread(path)
     except (OSError, ValueError) as exc:
         raise ParseError(f"cannot read matrix file {path!r}: {exc}") from exc
     if scipy.sparse.issparse(m):
@@ -63,8 +83,20 @@ def read_matrix(path: str) -> np.ndarray:
 
 
 def write_matrix(path: str, m: np.ndarray) -> None:
-    """Write a dense matrix in Matrix Market array format, exactly round-trippable."""
-    scipy.io.mmwrite(path, np.asarray(m), precision=17)
+    """Write a dense matrix in Matrix Market array format, exactly round-trippable.
+
+    A matrix with no entries is written as the header scipy writes for it,
+    because scipy's writer never returns on a matrix with zero rows.
+    """
+    m = np.asarray(m)
+    if m.size == 0:
+        rows, cols = m.shape
+        field = "complex" if np.iscomplexobj(m) else "real"
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(f"%%MatrixMarket matrix array {field} general\n%\n{rows} {cols}\n")
+        return
+    with _one_thread():
+        scipy.io.mmwrite(path, m, precision=17)
 
 
 def _parse_tolerances(raw) -> Tolerances:

@@ -44,9 +44,13 @@ class PolarPair:
 
 def schatten_norm(X, p) -> float:
     """(sum_k sigma_k(X)^p)^(1/p) over all singular values."""
-    p = _check_index(p)
     X = as_matrix(X, "X")
-    s = np.linalg.svd(X, compute_uv=False)
+    return _norm_of_singular_values(np.linalg.svd(X, compute_uv=False), p)
+
+
+def _norm_of_singular_values(s: np.ndarray, p) -> float:
+    """(sum_k s_k^p)^(1/p), for singular values already at hand."""
+    p = _check_index(p)
     if s.size == 0:
         return 0.0
     return float(np.sum(s**p) ** (1.0 / p))

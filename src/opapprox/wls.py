@@ -30,7 +30,7 @@ from .linalg import (
     range_included,
 )
 from .result import ResultReport
-from .schatten import schatten_norm, weighted_schatten_norm
+from .schatten import _norm_of_singular_values, weighted_schatten_norm
 from .shorted import CompatCertificate, _certificate, _shorted, w_orthogonal_complement
 
 
@@ -111,8 +111,10 @@ def _owls(A, W, p, tol: Tolerances):
 def _owls_value(A, weight, G, shorted_w, p, tol: Tolerances) -> float:
     """The closed-form minimum from W shorted to R(A), cross-checked against
     the weighted norm that the weighted inverse G achieves.  ``weight`` and
-    ``shorted_w`` are the PsdWeights of W and of W shorted to R(A)."""
-    value = schatten_norm(shorted_w.sqrt, p)
+    ``shorted_w`` are the PsdWeights of W and of W shorted to R(A); the
+    value is read off the shorted weight's eigenvalues, whose square roots
+    are the singular values of its root."""
+    value = _norm_of_singular_values(shorted_w.root_eigvals, p)
     eye = np.eye(A.shape[0], dtype=complex)
     achieved = weighted_schatten_norm(A @ G - eye, weight, p, tol)
     if abs(achieved - value) > tol.residual_rtol * max(value, achieved, 1.0):

@@ -192,11 +192,11 @@ def _role_matrices(n, deficient):
     }
 
 
-def _execute(row, matrices):
+def _execute(row, matrices, p=None):
     manifest = ProblemManifest(
         problem=row.kind,
         matrices={role: matrices[role] for role in row.roles},
-        p=1.5 if row.needs_p else None,
+        p=1.5 if row.needs_p else p,
         tolerances=DEFAULT_TOL,
         seed=0,
     )
@@ -217,6 +217,23 @@ def test_registry_row_factorization_count_does_not_grow_with_n(svd_calls, row, d
         counts.append(svd_calls[0])
     assert counts[0] == counts[1], counts
     assert counts[0] > 0
+
+
+# numpy SVDs per manifest with p = 1.5: the closed-form minimum is read off
+# the eigenvalues of W shorted to R(A), not off an SVD of its square root
+SVDS_WITH_P = {"owls:A,W": 5, "report:A,W": 7}
+
+
+@pytest.mark.parametrize("deficient", [False, True], ids=["full_rank", "rank_deficient"])
+@pytest.mark.parametrize("row", sorted(SVDS_WITH_P))
+def test_owls_value_takes_no_svd_of_the_shorted_root(monkeypatch, row, deficient):
+    calls = _count_calls(monkeypatch, np.linalg, "svd", [0])
+    for n in (8, 32):
+        matrices = _role_matrices(n, deficient)
+        calls[0] = 0
+        report = _execute(ROWS[row], matrices, p=1.5)
+        assert report.min_value is not None
+        assert calls[0] == SVDS_WITH_P[row], n
 
 
 SOLVERS = {
