@@ -75,10 +75,10 @@ def sweep_lift(rng, instances, max_dim):
         assert flags["hat_w_inverse_exists"] == (
             flags["optimal_inverse_exists"] and flags["companion_eq_solvable"]
         ), flags
-        if report.residual is not None:
+        if report.exists:
             lifted = hat_lift(a)
             scale = max(np.linalg.norm(lifted.conj().T @ w_full @ lifted), 1.0)
-            worst = max(worst, report.residual / scale)
+            worst = max(worst, report.residuals["lifted_normal_equation"] / scale)
     return worst
 
 

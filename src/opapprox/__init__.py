@@ -33,7 +33,7 @@ from .linalg import (
 )
 from .schatten import PolarPair, frechet_gp, polar, schatten_norm, weighted_schatten_norm
 from .shorted import CompatCertificate, is_compatible, shorted, w_orthogonal_complement
-from .wls import WlsReport, owls_min, w_inverse, wls_existence_report, wlss_solve
+from .wls import owls_min, w_inverse, wls_existence_report, wlss_solve
 from .spline import (
     SplineSolution,
     global_spline_solution,
@@ -44,8 +44,6 @@ from .spline import (
 )
 from .smoothing import (
     BlockWeight,
-    HatEquivalenceReport,
-    SmoothingEquivalenceReport,
     SmoothingSolution,
     hat_equivalence_check,
     hat_lift,
@@ -64,7 +62,6 @@ __all__ = [
     "CompatCertificate",
     "DimensionError",
     "EquivalenceViolation",
-    "HatEquivalenceReport",
     "InconsistentDims",
     "NoMinimum",
     "NotInRange",
@@ -72,13 +69,11 @@ __all__ = [
     "OpApproxError",
     "ParseError",
     "PolarPair",
-    "SmoothingEquivalenceReport",
     "SmoothingSolution",
     "SplineSolution",
     "Subspace",
     "Tolerances",
     "UnsupportedIndex",
-    "WlsReport",
     "ensure_psd_weight",
     "frechet_gp",
     "full_subspace",

@@ -2,8 +2,9 @@
 problem registry, and emit a machine-readable report.
 
 Exit codes: 0 solved, 2 well-posed nonexistence, 3 equivalence violation,
-64 parse error, 65 dimension error, 70 numerical failure (a ValueError or
-LinAlgError while solving or rendering).  Exit codes 3 and 70 write a JSON
+64 parse error, 65 dimension error, 70 numerical failure (a ValueError,
+LinAlgError or floating-point overflow, invalid operation or division by
+zero while solving or rendering).  Exit codes 3 and 70 write a JSON
 error payload in place of the report.  Logging verbosity comes from the
 OPAPPROX_LOG environment variable (error, info, or debug).
 """
@@ -130,8 +131,11 @@ def _run_single(manifest_path: str, args, out_path: str | None) -> int:
     try:
         manifest = parse_manifest(manifest_path)
         manifest = _apply_overrides(manifest, args)
-        report = execute(manifest)
-        text = render_report(report, _sidecar_base(out_path, manifest_path))
+        # a float overflow, invalid operation or division by zero is a
+        # numerical failure, not a warning on stderr
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            report = execute(manifest)
+            text = render_report(report, _sidecar_base(out_path, manifest_path))
     except ParseError as exc:
         print(f"opapprox: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -141,7 +145,7 @@ def _run_single(manifest_path: str, args, out_path: str | None) -> int:
     except EquivalenceViolation as exc:
         _fail("equivalence_violation", exc, exc.diagnostics, out_path)
         return EXIT_EQUIVALENCE
-    except (ValueError, np.linalg.LinAlgError) as exc:
+    except (ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
         _fail("numerical_failure", exc, {"exception": type(exc).__name__}, out_path)
         return EXIT_NUMERICAL
     _emit(text, out_path)

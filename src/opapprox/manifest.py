@@ -85,13 +85,17 @@ def read_matrix(path: str) -> np.ndarray:
 def write_matrix(path: str, m: np.ndarray) -> None:
     """Write a dense matrix in Matrix Market array format, exactly round-trippable.
 
-    A matrix with no entries is written as the header scipy writes for it,
-    because scipy's writer never returns on a matrix with zero rows.
+    Like scipy's writer, it appends ``.mtx`` to a path that does not end
+    in it.  A matrix with no entries is written as the header scipy writes
+    for it, because scipy's writer never returns on a matrix with zero rows.
     """
     m = np.asarray(m)
     if m.size == 0:
         rows, cols = m.shape
         field = "complex" if np.iscomplexobj(m) else "real"
+        path = os.fspath(path)
+        if not path.endswith(".mtx"):
+            path += ".mtx"
         with open(path, "w", encoding="ascii") as fh:
             fh.write(f"%%MatrixMarket matrix array {field} general\n%\n{rows} {cols}\n")
         return

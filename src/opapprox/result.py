@@ -1,5 +1,9 @@
-"""ResultReport, the one result shape of every registry row; a leaf
-module, so each problem family builds its reports without an import cycle."""
+"""ResultReport, the one result shape of every registry row and of every
+library report function (``wls_existence_report``,
+``spline_equivalence_report``, ``smoothing_equivalence_report``,
+``hat_equivalence_check``): each returns the report the CLI renders.  A
+leaf module, so each problem family builds its reports without an import
+cycle."""
 
 from __future__ import annotations
 
@@ -10,7 +14,13 @@ import numpy as np
 
 @dataclass(frozen=True, eq=False, kw_only=True)
 class ResultReport:
-    """Machine-readable outcome of one manifest execution."""
+    """Machine-readable outcome of one manifest execution or report call.
+
+    ``witness`` is the solution found, with its defects in ``residuals``;
+    ``conditions`` holds the existence flags a report evaluates and
+    ``diagnostics`` the ranks and margins behind them.  ``problem`` and
+    the ``seed`` diagnostic are added by ``cli.execute``.
+    """
 
     problem: str = ""
     exists: bool

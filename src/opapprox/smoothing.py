@@ -13,7 +13,7 @@ squared norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,32 +82,6 @@ class SmoothingSolution:
     h: np.ndarray
     objective: float
     normal_residual: float
-
-
-@dataclass(frozen=True, eq=False)
-class HatEquivalenceReport:
-    """Existence flags and the assembled witness for the lift equivalence.
-
-    ``z`` solves the lifted normal equation when all flags hold:
-    z = [z1 | z2] with z1 the optimal inverse and z2 the companion-equation
-    solution; ``residual`` is the lifted normal-equation defect of z.
-    """
-
-    conditions: dict
-    z: np.ndarray | None = None
-    residual: float | None = None
-    diagnostics: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True, eq=False)
-class SmoothingEquivalenceReport:
-    """Five-way agreement report for the smoothing problem."""
-
-    exists: bool
-    conditions: dict
-    global_solution: np.ndarray | None
-    compat: CompatCertificate
-    diagnostics: dict = field(default_factory=dict)
 
 
 def _gram(T, V) -> np.ndarray:
@@ -200,7 +174,7 @@ def _lifted_gram(A, W: BlockWeight) -> np.ndarray:
     )
 
 
-def hat_equivalence_check(A, W: BlockWeight, tol: Tolerances = DEFAULT_TOL) -> HatEquivalenceReport:
+def hat_equivalence_check(A, W: BlockWeight, tol: Tolerances = DEFAULT_TOL) -> ResultReport:
     """Certify: the lift of A has a W-inverse iff A has a W-optimal inverse
     and the companion equation (same left side, right side A* w12 + w22)
     is solvable.
@@ -211,6 +185,10 @@ def hat_equivalence_check(A, W: BlockWeight, tol: Tolerances = DEFAULT_TOL) -> H
     factors (hat A)* W (hat A), a different matrix.  When all three hold,
     the two pieces assemble into z(f, h) = z1 f + z2 h, verified to solve
     the lifted normal equation.
+
+    The report is the one the CLI renders: it exists when all three flags
+    hold, and then its witness is z = [z1 | z2] with its lifted
+    normal-equation defect as the ``lifted_normal_equation`` residual.
     """
     A = as_matrix(A, "A")
     lifted = hat_lift(A)
@@ -236,25 +214,28 @@ def hat_equivalence_check(A, W: BlockWeight, tol: Tolerances = DEFAULT_TOL) -> H
             {"conditions": conditions},
         )
 
-    z = None
-    residual = None
-    if all(conditions.values()):
-        z = np.hstack([g_opt, z2])
-        target = lifted.conj().T @ w_mat
-        defect = np.linalg.norm(gram @ z - target)
-        scale = max(np.linalg.norm(gram) * np.linalg.norm(z), np.linalg.norm(target), 1.0)
-        residual = float(defect)
-        if defect > tol.residual_rtol * scale:
-            raise EquivalenceViolation(
-                "assembled solution fails the lifted normal equation",
-                {"residual": residual, "scale": scale},
-            )
-    return HatEquivalenceReport(conditions=conditions, z=z, residual=residual)
+    if not all(conditions.values()):
+        return ResultReport(exists=False, conditions=conditions)
+    z = np.hstack([g_opt, z2])
+    target = lifted.conj().T @ w_mat
+    residual = float(np.linalg.norm(gram @ z - target))
+    scale = max(np.linalg.norm(gram) * np.linalg.norm(z), np.linalg.norm(target), 1.0)
+    if residual > tol.residual_rtol * scale:
+        raise EquivalenceViolation(
+            "assembled solution fails the lifted normal equation",
+            {"residual": residual, "scale": scale},
+        )
+    return ResultReport(
+        exists=True,
+        witness=z,
+        residuals={"lifted_normal_equation": residual},
+        conditions=conditions,
+    )
 
 
 def smoothing_equivalence_report(
     T, V, tol: Tolerances = DEFAULT_TOL, rng=None, samples: int = 100
-) -> SmoothingEquivalenceReport:
+) -> ResultReport:
     """Evaluate the equivalent smoothing-existence conditions.
 
     Flags: range inclusion R(V*) in R(T*T + V*V); pointwise solvability on
@@ -269,17 +250,21 @@ def smoothing_equivalence_report(
     each column tested as ``smoothing_solve`` tests its residual, and
     their columns are G.  The optimal inverse factors its own lifted Gram,
     dominance is sampled, and compatibility is decided on N(V).
+
+    The report is the one the CLI renders for the smoothing chain: when a
+    solution exists, its witness is G with the Frobenius norm of the
+    basis residuals V* - (T*T + V*V) G as the ``normal_equation`` residual.
     """
     T, V = _check_tv_dims(T, V)
     compat = is_compatible(T.conj().T @ T, null_basis(V, tol), tol)
-    return _smoothing_equivalence(T, V, compat, tol, rng, samples)[0]
+    return _smoothing_equivalence(T, V, compat, tol, rng, samples)
 
 
 def _smoothing_equivalence(
     T, V, compat: CompatCertificate, tol: Tolerances, rng, samples: int = 100
-):
+) -> ResultReport:
     """``smoothing_equivalence_report`` with the certificate of (T*T, N(V))
-    already decided, also returning its residual V* - gram G."""
+    already decided."""
     if rng is None:
         rng = np.random.default_rng(0)
     f_dim, n = V.shape
@@ -321,13 +306,13 @@ def _smoothing_equivalence(
         "max_basis_residual": max(basis_residuals) if basis_residuals else 0.0,
         "worst_dominance_gap": worst_gap,
     }
-    return SmoothingEquivalenceReport(
+    return ResultReport(
         exists=exists,
+        witness=G if exists else None,
+        residuals={"normal_equation": float(np.linalg.norm(R))} if exists else {},
         conditions=conditions,
-        global_solution=G if exists else None,
-        compat=compat,
         diagnostics=diagnostics,
-    ), R
+    )
 
 
 def _dominance(T, V, G, rng, samples: int):
@@ -394,15 +379,14 @@ def _build_tv_report(m) -> ResultReport:
     fv = factor(V, tol)
     tt_weight = _tt_weight(T, tol)
     compat = is_compatible(tt_weight, fv.null(), tol)
-    smooth, R = _smoothing_equivalence(T, V, compat, tol, np.random.default_rng(m.seed))
+    smooth = _smoothing_equivalence(T, V, compat, tol, np.random.default_rng(m.seed))
     spline = _spline_equivalence(T, fv, tt_weight, compat, tol)
     conditions = {f"smoothing_{k}": v for k, v in smooth.conditions.items()}
     conditions.update(spline.conditions)
-    G = smooth.global_solution
     return ResultReport(
         exists=smooth.exists and spline.exists,
-        witness=G,
-        residuals={} if G is None else {"normal_equation": float(np.linalg.norm(R))},
+        witness=smooth.witness,
+        residuals=smooth.residuals,
         conditions=conditions,
         diagnostics=smooth.diagnostics,
     )
@@ -410,10 +394,4 @@ def _build_tv_report(m) -> ResultReport:
 
 def _build_hat_report(m) -> ResultReport:
     W = BlockWeight(m.matrices["W11"], m.matrices["W12"], m.matrices["W22"])
-    rep = hat_equivalence_check(m.matrices["A"], W, m.tolerances)
-    return ResultReport(
-        exists=all(rep.conditions.values()),
-        witness=rep.z,
-        residuals={} if rep.residual is None else {"lifted_normal_equation": rep.residual},
-        conditions=rep.conditions,
-    )
+    return hat_equivalence_check(m.matrices["A"], W, m.tolerances)

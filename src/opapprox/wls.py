@@ -10,8 +10,6 @@ returned, for determinism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import EquivalenceViolation, InconsistentDims, NoMinimum
@@ -31,26 +29,7 @@ from .linalg import (
 )
 from .result import ResultReport
 from .schatten import _norm_of_singular_values, weighted_schatten_norm
-from .shorted import CompatCertificate, _certificate, _shorted, w_orthogonal_complement
-
-
-@dataclass(frozen=True, eq=False)
-class WlsReport:
-    """Existence report for the weighted least squares problem.
-
-    The four condition flags must agree (their disagreement raises
-    EquivalenceViolation before a report is built): solvability for every
-    right-hand side, fullness of R(A) + W(R(A))-perp, solvability of the
-    normal equation, and existence of a weighted inverse.
-    """
-
-    exists: bool
-    conditions: dict
-    w_inverse: np.ndarray | None
-    compat: CompatCertificate
-    min_value_p: float | None = None
-    shorted_w: np.ndarray | None = None
-    diagnostics: dict = field(default_factory=dict)
+from .shorted import _certificate, _shorted, w_orthogonal_complement
 
 
 def _check_wls_dims(A, W, x=None):
@@ -131,7 +110,16 @@ def _basis_residual_scale(A, W) -> float:
     return float(np.linalg.norm(A) * np.linalg.norm(W))
 
 
-def wls_existence_report(A, W, tol: Tolerances = DEFAULT_TOL, p=None) -> WlsReport:
+def _weighted_inverse_residual(A, W, G) -> dict:
+    """{"normal_equation": ||A* W (A G - I)||_F}, the defect of a weighted
+    inverse G, or no residual when there is none."""
+    if G is None:
+        return {}
+    eye = np.eye(A.shape[0], dtype=complex)
+    return {"normal_equation": float(np.linalg.norm(A.conj().T @ W @ (A @ G - eye)))}
+
+
+def wls_existence_report(A, W, tol: Tolerances = DEFAULT_TOL, p=None) -> ResultReport:
     """Evaluate the four equivalent existence conditions.
 
     Conditions (i), (iii) and (iv) are statements about the one operator
@@ -142,9 +130,13 @@ def wls_existence_report(A, W, tol: Tolerances = DEFAULT_TOL, p=None) -> WlsRepo
     decision, which each of them would make identically on its own;
     condition (ii) is decided on different matrices (R(A) and its
     W-orthogonal complement).  Disagreement raises EquivalenceViolation
-    with the divergent flags attached.  The report also carries the
-    compatibility certificate of (W, R(A)) and, when ``p`` is given, the
-    operator minimum value and the shorted weight.
+    with the divergent flags attached.
+
+    The report is the one the CLI renders: the weighted inverse is the
+    witness with its normal-equation residual, the conditions are the
+    four flags plus ``compatible``, the verdict of the compatibility
+    certificate of (W, R(A)), and, when ``p`` is given and a solution
+    exists, ``min_value`` is the operator minimum.
     """
     A, W = _check_wls_dims(A, W)
     weight = psd_weight(W, tol)
@@ -185,12 +177,9 @@ def wls_existence_report(A, W, tol: Tolerances = DEFAULT_TOL, p=None) -> WlsRepo
         )
     exists = all(conditions.values())
 
-    min_value_p = None
-    shorted_w = None
+    min_value = None
     if p is not None and exists:
-        shorted_weight = _shorted(weight, ra, tol)
-        min_value_p = _owls_value(A, weight, G, shorted_weight, p, tol)
-        shorted_w = shorted_weight.matrix
+        min_value = _owls_value(A, weight, G, _shorted(weight, ra, tol), p, tol)
 
     diagnostics = {
         "rank_a": ra.dim,
@@ -201,27 +190,17 @@ def wls_existence_report(A, W, tol: Tolerances = DEFAULT_TOL, p=None) -> WlsRepo
         "range_plus_nullspace_closed": True,
         "range_cap_nullspace_closed": True,
     }
-    return WlsReport(
+    return ResultReport(
         exists=exists,
-        conditions=conditions,
-        w_inverse=G,
-        compat=compat,
-        min_value_p=min_value_p,
-        shorted_w=shorted_w,
+        min_value=min_value,
+        witness=G,
+        residuals=_weighted_inverse_residual(A, W, G),
+        conditions={**conditions, "compatible": compat.compatible},
         diagnostics=diagnostics,
     )
 
 
 # Registry builders (see problems.REGISTRY): a validated manifest -> ResultReport
-def _weighted_inverse_residual(A, W, G) -> dict:
-    """{"normal_equation": ||A* W (A G - I)||_F}, the defect of a weighted
-    inverse G, or no residual when there is none."""
-    if G is None:
-        return {}
-    eye = np.eye(A.shape[0], dtype=complex)
-    return {"normal_equation": float(np.linalg.norm(A.conj().T @ W @ (A @ G - eye)))}
-
-
 def _build_wls(m) -> ResultReport:
     A, W, x = m.matrices["A"], m.matrices["W"], m.matrices["x"].ravel()
     u = wlss_solve(A, W, x, m.tolerances)
@@ -262,13 +241,4 @@ def _build_owls(m) -> ResultReport:
 
 
 def _build_report(m) -> ResultReport:
-    A, W = m.matrices["A"], m.matrices["W"]
-    rep = wls_existence_report(A, W, m.tolerances, p=m.p)
-    return ResultReport(
-        exists=rep.exists,
-        min_value=rep.min_value_p,
-        witness=rep.w_inverse,
-        residuals=_weighted_inverse_residual(A, W, rep.w_inverse),
-        conditions={**rep.conditions, "compatible": rep.compat.compatible},
-        diagnostics=rep.diagnostics,
-    )
+    return wls_existence_report(m.matrices["A"], m.matrices["W"], m.tolerances, p=m.p)

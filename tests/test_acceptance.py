@@ -124,7 +124,7 @@ def test_criterion_4_spline_and_smoothing_chains():
         smooth = smoothing_equivalence_report(t, v, rng=np.random.default_rng(4104))
         ok &= len(set(smooth.conditions.values())) == 1 and smooth.exists
         gram = t.conj().T @ t + v.conj().T @ v
-        ok &= np.allclose(smooth.global_solution, pinv(gram) @ v.conj().T, atol=1e-9)
+        ok &= np.allclose(smooth.witness, pinv(gram) @ v.conj().T, atol=1e-9)
 
         _, x0 = operator_spline_min(t, v, v, 2)
         g = global_spline_solution(t, v)
@@ -208,13 +208,13 @@ def test_criterion_7_lift_assembly():
         ok &= flags["hat_w_inverse_exists"] == (
             flags["optimal_inverse_exists"] and flags["companion_eq_solvable"]
         )
-        if report.z is not None:
+        if report.witness is not None:
             lifted = hat_lift(a)
             w_mat = w.assemble()
             gram = lifted.conj().T @ w_mat @ lifted
             target = lifted.conj().T @ w_mat
-            scale = max(np.linalg.norm(gram) * np.linalg.norm(report.z), np.linalg.norm(target), 1.0)
-            ok &= np.linalg.norm(gram @ report.z - target) <= 1e-8 * scale
+            scale = max(np.linalg.norm(gram) * np.linalg.norm(report.witness), np.linalg.norm(target), 1.0)
+            ok &= np.linalg.norm(gram @ report.witness - target) <= 1e-8 * scale
     _verdict("C7 lift equivalence and assembled solution", ok)
 
 

@@ -403,22 +403,30 @@ def test_batch_continues_past_numerical_failure(tmp_path, capsys):
     _write_manifest(batch, "b_ok.json", {"problem": "smoothing"},
                     {"T": [[1.0]], "V": [[2.0]], "f0": [[1.0]]})
     outdir = tmp_path / "reports"
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        assert main(["--batch", str(batch), "--out", str(outdir)]) == 70
+    assert main(["--batch", str(batch), "--out", str(outdir)]) == 70
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines == ["a_big: exit 70", "b_ok: exit 0"]
     payload = json.loads((outdir / "a_big.report.json").read_text())
     assert payload["error"] == "numerical_failure"
-    assert payload["diagnostics"] == {"exception": "ValueError"}
+    assert payload["diagnostics"] == {"exception": "FloatingPointError"}
+
+
+def _overflow_manifest(tmp_path):
+    # ||x||_W overflows to infinity, which a JSON report cannot hold
+    return _write_manifest(tmp_path, "inf.json", {"problem": "wls"},
+                           {"A": [[1.0], [0.0]], "W": np.eye(2), "x": _col([0.0, 1e200])})
 
 
 def test_infinite_value_is_numerical_failure(tmp_path, capsys):
-    # ||x||_W overflows to infinity, which a JSON report cannot hold
-    path = _write_manifest(tmp_path, "inf.json", {"problem": "wls"},
-                           {"A": [[1.0], [0.0]], "W": np.eye(2), "x": _col([0.0, 1e200])})
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        assert main([path]) == 70
+    assert main([_overflow_manifest(tmp_path)]) == 70
     payload = json.loads(capsys.readouterr().out)
     assert payload["error"] == "numerical_failure"
-    assert payload["message"] == "reports cannot contain non-finite values"
-    assert payload["diagnostics"] == {"exception": "ValueError"}
+    assert payload["message"].startswith("overflow encountered in ")
+    assert payload["diagnostics"] == {"exception": "FloatingPointError"}
+
+
+def test_numerical_failure_writes_one_stderr_line(tmp_path):
+    # the overflow is the exit-70 line, not a numpy warning and its source line
+    code, lines = _stderr_lines(_overflow_manifest(tmp_path))
+    assert code == 70
+    assert len(lines) == 1 and lines[0].startswith("opapprox: numerical failure: overflow"), lines

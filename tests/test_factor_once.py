@@ -271,7 +271,7 @@ def test_wls_report_columns_match_wlss_solve(deficient, seed):
     for i in range(A.shape[0]):
         u = wlss_solve(A, W, eye[:, i])
         # column i of the weighted inverse is the solve for e_i
-        assert _rel(rep.w_inverse[:, i], u) <= 1e-12
+        assert _rel(rep.witness[:, i], u) <= 1e-12
         residuals.append(np.linalg.norm(A.conj().T @ W @ (A @ u - eye[:, i])))
     assert rep.conditions["wlss_for_all_x"] == all(r <= RTOL * scale for r in residuals)
 
@@ -280,16 +280,10 @@ def test_wls_report_columns_match_wlss_solve(deficient, seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_wls_report_certificate_is_is_compatible(deficient, seed):
     A, W, *_ = _instances(12, deficient, seed)
-    got = wls_existence_report(A, W).compat
+    got = wls_existence_report(A, W)
     want = is_compatible(W, range_basis(A))
-    assert got.compatible == want.compatible
-    assert got.sum_rank == want.sum_rank
-    assert np.array_equal(got.s_basis.basis, want.s_basis.basis)
-    assert np.array_equal(got.s_perp_w_basis.basis, want.s_perp_w_basis.basis)
-    if want.projection is None:
-        assert got.projection is None
-    else:
-        assert np.array_equal(got.projection, want.projection)
+    assert got.conditions["compatible"] == want.compatible
+    assert got.diagnostics["sum_rank"] == want.sum_rank
 
 
 @pytest.mark.parametrize("deficient", [False, True], ids=["full_rank", "rank_deficient"])
@@ -302,7 +296,7 @@ def test_smoothing_report_columns_match_smoothing_solve(deficient, seed):
     eye = np.eye(V.shape[0], dtype=complex)
     sols = [smoothing_solve(T, V, eye[:, i]) for i in range(V.shape[0])]
     for i, sol in enumerate(sols):
-        assert _rel(rep.global_solution[:, i], sol.h) <= 1e-12
+        assert _rel(rep.witness[:, i], sol.h) <= 1e-12
     assert rep.conditions["pointwise_solvable"] == all(
         s.normal_residual <= RTOL * scale for s in sols
     )

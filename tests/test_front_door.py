@@ -86,6 +86,15 @@ def test_matrices_without_entries_round_trip(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("m", [np.eye(2), np.zeros((0, 3))], ids=["entries", "no_entries"])
+def test_written_file_name_does_not_depend_on_the_entries(tmp_path, m):
+    # scipy's writer appends .mtx to a path without it; the writer of a
+    # matrix with no entries follows the same rule
+    write_matrix(str(tmp_path / "m.txt"), m)
+    assert os.listdir(tmp_path) == ["m.txt.mtx"]
+    assert np.array_equal(read_matrix(str(tmp_path / "m.txt.mtx")), m)
+
+
 def test_empty_witness_sidecar_is_written(tmp_path):
     # A is 101-by-0, so the weighted inverse is 0-by-101 and goes to a sidecar
     write_matrix(str(tmp_path / "A.mtx"), np.zeros((101, 0)))

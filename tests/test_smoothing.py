@@ -140,8 +140,8 @@ def test_hat_equivalence_scalar_instance():
     w = BlockWeight(np.eye(1), np.zeros((1, 1)), np.eye(1))
     report = hat_equivalence_check(np.array([[1.0]]), w)
     assert all(report.conditions.values())
-    assert np.allclose(report.z, np.array([[0.5, 0.5]]), atol=1e-13)
-    assert report.residual <= 1e-12
+    assert np.allclose(report.witness, np.array([[0.5, 0.5]]), atol=1e-13)
+    assert report.residuals["lifted_normal_equation"] <= 1e-12
 
 
 def test_hat_equivalence_degenerate_lower_blocks():
@@ -176,18 +176,18 @@ def test_hat_equivalence_random_block_weights():
         w = BlockWeight(w_full[:f, :f], w_full[:f, f:], w_full[f:, f:])
         report = hat_equivalence_check(a, w)
         assert len(set(report.conditions.values())) == 1
-        if report.z is not None:
+        if report.witness is not None:
             lifted = hat_lift(a)
             gram = lifted.conj().T @ w_full @ lifted
             target = lifted.conj().T @ w_full
-            scale = max(np.linalg.norm(gram) * np.linalg.norm(report.z), 1.0)
-            assert np.linalg.norm(gram @ report.z - target) <= 1e-8 * scale
+            scale = max(np.linalg.norm(gram) * np.linalg.norm(report.witness), 1.0)
+            assert np.linalg.norm(gram @ report.witness - target) <= 1e-8 * scale
 
 
 def test_smoothing_report_identity_instance():
     report = smoothing_equivalence_report(np.eye(2), np.eye(2))
     assert report.exists
-    assert np.allclose(report.global_solution, 0.5 * np.eye(2), atol=1e-12)
+    assert np.allclose(report.witness, 0.5 * np.eye(2), atol=1e-12)
 
 
 def test_smoothing_report_pure_least_squares():
@@ -195,7 +195,7 @@ def test_smoothing_report_pure_least_squares():
     v = cgauss(rng, 3, 4)
     report = smoothing_equivalence_report(np.zeros((2, 4)), v)
     assert report.exists
-    assert np.allclose(report.global_solution, pinv(v), atol=1e-9)
+    assert np.allclose(report.witness, pinv(v), atol=1e-9)
 
 
 def test_smoothing_report_random_instances():
@@ -210,7 +210,7 @@ def test_smoothing_report_random_instances():
         assert len(set(report.conditions.values())) == 1
         assert report.exists
         gram = t.conj().T @ t + v.conj().T @ v
-        assert np.allclose(report.global_solution, pinv(gram) @ v.conj().T, atol=1e-9)
+        assert np.allclose(report.witness, pinv(gram) @ v.conj().T, atol=1e-9)
 
 
 def test_global_solution_dominance_via_oracle():
