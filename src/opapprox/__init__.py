@@ -31,11 +31,11 @@ from .linalg import (
     range_included,
     trivial_subspace,
 )
-from .schatten import PolarPair, frechet_gp, polar, schatten_norm, weighted_schatten_norm
+from .schatten import frechet_gp, schatten_norm, weighted_schatten_norm
 from .shorted import CompatCertificate, is_compatible, shorted, w_orthogonal_complement
 from .wls import owls_min, w_inverse, wls_existence_report, wlss_solve
+from .result import ResultReport
 from .spline import (
-    SplineSolution,
     global_spline_solution,
     is_abstract_spline,
     operator_spline_min,
@@ -44,13 +44,13 @@ from .spline import (
 )
 from .smoothing import (
     BlockWeight,
-    SmoothingSolution,
     hat_equivalence_check,
     hat_lift,
     operator_smoothing_min,
     optimal_inverse,
     smoothing_equivalence_report,
     smoothing_solve,
+    tv_report,
 )
 from . import oracles
 
@@ -68,9 +68,7 @@ __all__ = [
     "NotPsd",
     "OpApproxError",
     "ParseError",
-    "PolarPair",
-    "SmoothingSolution",
-    "SplineSolution",
+    "ResultReport",
     "Subspace",
     "Tolerances",
     "UnsupportedIndex",
@@ -90,7 +88,6 @@ __all__ = [
     "oracles",
     "owls_min",
     "pinv",
-    "polar",
     "psd_sqrt",
     "range_basis",
     "range_included",
@@ -101,6 +98,7 @@ __all__ = [
     "spline_equivalence_report",
     "spline_solve",
     "trivial_subspace",
+    "tv_report",
     "w_inverse",
     "w_orthogonal_complement",
     "weighted_schatten_norm",

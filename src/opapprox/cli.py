@@ -2,9 +2,10 @@
 problem registry, and emit a machine-readable report.
 
 Exit codes: 0 solved, 2 well-posed nonexistence, 3 equivalence violation,
-64 parse error, 65 dimension error, 70 numerical failure (a ValueError,
-LinAlgError or floating-point overflow, invalid operation or division by
-zero while solving or rendering).  Exit codes 3 and 70 write a JSON
+64 parse error (also a negative ``--seed`` or an unwritable ``--out``),
+65 dimension error, 70 numerical failure (a ValueError, LinAlgError or
+floating-point overflow, invalid operation or division by zero while
+solving or rendering).  Exit codes 3 and 70 write a JSON
 error payload in place of the report.  Logging verbosity comes from the
 OPAPPROX_LOG environment variable (error, info, or debug).
 """
@@ -159,29 +160,38 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if bool(args.batch) == bool(args.manifest):
             raise ParseError("provide exactly one of a manifest path or --batch DIR")
+        if args.seed is not None and args.seed < 0:
+            raise ParseError("--seed must be a non-negative integer")
     except ParseError as exc:
         print(f"opapprox: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
-    if args.batch:
-        manifests = sorted(glob.glob(os.path.join(args.batch, "*.json")))
-        if not manifests:
-            print(f"opapprox: no manifests in {args.batch!r}", file=sys.stderr)
-            return EXIT_PARSE
-        worst = EXIT_SOLVED
-        for path in manifests:
-            stem = os.path.splitext(os.path.basename(path))[0]
-            if args.out:
-                os.makedirs(args.out, exist_ok=True)
-                out_path = os.path.join(args.out, stem + ".report.json")
-            else:
-                out_path = os.path.splitext(path)[0] + ".report.json"
-            code = _run_single(path, args, out_path)
-            print(f"{stem}: exit {code}")
-            worst = max(worst, code)
-        return worst
+    try:
+        return _run_batch(args) if args.batch else _run_single(args.manifest, args, args.out)
+    except OSError as exc:
+        # --out names a missing directory, or a file where a directory is needed
+        print(f"opapprox: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
-    return _run_single(args.manifest, args, args.out)
+
+def _run_batch(args) -> int:
+    manifests = sorted(glob.glob(os.path.join(args.batch, "*.json")))
+    if not manifests:
+        print(f"opapprox: no manifests in {args.batch!r}", file=sys.stderr)
+        return EXIT_PARSE
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+    worst = EXIT_SOLVED
+    for path in manifests:
+        stem = os.path.splitext(os.path.basename(path))[0]
+        if args.out:
+            out_path = os.path.join(args.out, stem + ".report.json")
+        else:
+            out_path = os.path.splitext(path)[0] + ".report.json"
+        code = _run_single(path, args, out_path)
+        print(f"{stem}: exit {code}")
+        worst = max(worst, code)
+    return worst
 
 
 if __name__ == "__main__":

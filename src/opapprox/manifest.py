@@ -155,8 +155,8 @@ def parse_manifest(path: str) -> ProblemManifest:
     tol = _parse_tolerances(raw.get("tolerances", {}))
 
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ParseError("seed must be an integer")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ParseError("seed must be a non-negative integer")
 
     base = os.path.dirname(os.path.abspath(path))
     matrices = {}

@@ -1,13 +1,11 @@
-"""Schatten p-norms, weighted p-seminorms, polar decomposition, and the
-derivative of the p-th norm power.
+"""Schatten p-norms, weighted p-seminorms, and the derivative of the p-th
+norm power.
 
 The norm index p is a runtime real parameter with p >= 1; the derivative
 additionally needs p > 1 (the formula degenerates at the nuclear norm).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +15,6 @@ from .linalg import (
     PsdWeight,
     Tolerances,
     as_matrix,
-    hermitize,
     psd_sqrt,
     svd_with_rank,
 )
@@ -28,18 +25,6 @@ def _check_index(p) -> float:
     if not np.isfinite(p) or p < 1.0:
         raise UnsupportedIndex(f"norm index must be a finite real >= 1, got {p!r}")
     return p
-
-
-@dataclass(frozen=True, eq=False)
-class PolarPair:
-    """Polar factors X = u @ abs_x.
-
-    u is the partial isometry whose nullspace equals N(X) (so u*u is the
-    orthogonal projection onto N(X)-perp); abs_x = (X*X)^{1/2}.
-    """
-
-    u: np.ndarray
-    abs_x: np.ndarray
 
 
 def schatten_norm(X, p) -> float:
@@ -70,24 +55,13 @@ def weighted_schatten_norm(Y, W, p, tol: Tolerances = DEFAULT_TOL) -> float:
     return schatten_norm(psd_sqrt(W, tol) @ Y, p)
 
 
-def polar(X, tol: Tolerances = DEFAULT_TOL) -> PolarPair:
-    """Polar decomposition X = U |X| with N(U) = N(X), via SVD.
-
-    U is restricted to the numerical-rank subspace, so singular directions
-    below the rank cutoff are annihilated rather than arbitrarily rotated.
-    """
-    Us, s, Vh, rank = svd_with_rank(as_matrix(X, "X"), tol)
-    Vh = Vh[: s.size]
-    u = Us[:, :rank] @ Vh[:rank, :]
-    abs_x = hermitize((Vh.conj().T * s) @ Vh)
-    return PolarPair(u=u, abs_x=abs_x)
-
-
 def frechet_gp(X, Y, p, tol: Tolerances = DEFAULT_TOL) -> float:
     """Directional derivative of ||.||_p^p at X along Y, for p > 1.
 
-    Evaluates p * Re tr(|X|^{p-1} U* Y) using the polar factors of X.
-    Eigenvalues of |X| at or below the rank cutoff contribute 0 (the
+    With X = U S V* and polar factor U_r V_r* restricted to the numerical
+    rank r, this is p Re tr(|X|^{p-1} V_r U_r* Y)
+    = p Re sum_{i<r} s_i^{p-1} u_i* Y v_i, read off one SVD of X.
+    Singular values at or below the rank cutoff contribute 0 (the
     0^{p-1} = 0 convention for p > 1).  For p = 2 this reduces to
     2 Re tr(X*Y).
     """
@@ -98,9 +72,7 @@ def frechet_gp(X, Y, p, tol: Tolerances = DEFAULT_TOL) -> float:
     Y = as_matrix(Y, "Y")
     if X.shape != Y.shape:
         raise InconsistentDims(f"X and Y must share a shape, got {X.shape} and {Y.shape}")
-    pair = polar(X, tol)
-    w, Q = np.linalg.eigh(pair.abs_x)
-    lam_max = max(float(w.max()), 0.0) if w.size else 0.0
-    powers = np.where(w > tol.rank_rtol * lam_max, np.clip(w, 0.0, None) ** (p - 1.0), 0.0)
-    mod_power = (Q * powers) @ Q.conj().T
-    return float(p * np.real(np.trace(mod_power @ pair.u.conj().T @ Y)))
+    U, s, Vh, rank = svd_with_rank(X, tol)
+    # u_i* Y v_i for i < r: the diagonal of U_r* Y V_r
+    diag = np.sum(U[:, :rank].conj() * (Y @ Vh[:rank].conj().T), axis=0)
+    return float(p * np.real(np.sum(s[:rank] ** (p - 1.0) * diag)))

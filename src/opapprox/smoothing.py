@@ -75,15 +75,6 @@ class BlockWeight:
         return np.vstack([top, bottom])
 
 
-@dataclass(frozen=True, eq=False)
-class SmoothingSolution:
-    """Smoothing spline with its objective and normal-equation residual."""
-
-    h: np.ndarray
-    objective: float
-    normal_residual: float
-
-
 def _gram(T, V) -> np.ndarray:
     """T*T + V*V, the left side of every smoothing normal equation."""
     return T.conj().T @ T + V.conj().T @ V
@@ -95,8 +86,13 @@ def _basis_residual_scale(gram, V) -> float:
     return float(max(np.linalg.norm(gram), 1.0) * max(np.linalg.norm(V), 1.0))
 
 
-def smoothing_solve(T, V, f0, tol: Tolerances = DEFAULT_TOL) -> SmoothingSolution:
-    """Minimize ||T h||^2 + ||V h - f0||^2; minimal-norm h among minimizers."""
+def smoothing_solve(T, V, f0, tol: Tolerances = DEFAULT_TOL) -> ResultReport:
+    """Minimize ||T h||^2 + ||V h - f0||^2; minimal-norm h among minimizers.
+
+    The report is the one the CLI renders: h as an n x 1 witness, the
+    objective as ``min_value`` and ||(T*T + V*V) h - V* f0|| as the
+    ``normal_equation`` residual.
+    """
     T, V = _check_tv_dims(T, V)
     f0 = as_vector(f0, "f0")
     if f0.size != V.shape[0]:
@@ -104,9 +100,12 @@ def smoothing_solve(T, V, f0, tol: Tolerances = DEFAULT_TOL) -> SmoothingSolutio
     gram = _gram(T, V)
     rhs = V.conj().T @ f0
     h = pinv(gram, tol) @ rhs
-    objective = float(np.linalg.norm(T @ h) ** 2 + np.linalg.norm(V @ h - f0) ** 2)
-    residual = float(np.linalg.norm(gram @ h - rhs))
-    return SmoothingSolution(h=h, objective=objective, normal_residual=residual)
+    return ResultReport(
+        exists=True,
+        min_value=float(np.linalg.norm(T @ h) ** 2 + np.linalg.norm(V @ h - f0) ** 2),
+        witness=h.reshape(-1, 1),
+        residuals={"normal_equation": float(np.linalg.norm(gram @ h - rhs))},
+    )
 
 
 def operator_smoothing_min(T, V, B0, tol: Tolerances = DEFAULT_TOL):
@@ -260,6 +259,34 @@ def smoothing_equivalence_report(
     return _smoothing_equivalence(T, V, compat, tol, rng, samples)
 
 
+def tv_report(T, V, tol: Tolerances = DEFAULT_TOL, rng=None) -> ResultReport:
+    """The (T,V) existence report: the smoothing and the spline conditions
+    of one pair, as the CLI renders it.
+
+    The smoothing flags carry a ``smoothing_`` prefix beside the spline
+    flags, the witness, residuals and diagnostics are the smoothing
+    report's, and the pair exists when both chains say so.  Both chains
+    read N(V) off one factorization of V and share one certificate of
+    (T*T, N(V)).  ``rng`` drives the sampled dominance check, as in
+    ``smoothing_equivalence_report``.
+    """
+    T, V = _check_tv_dims(T, V)
+    fv = factor(V, tol)
+    tt_weight = _tt_weight(T, tol)
+    compat = is_compatible(tt_weight, fv.null(), tol)
+    smooth = _smoothing_equivalence(T, V, compat, tol, rng)
+    spline = _spline_equivalence(T, fv, tt_weight, compat, tol)
+    conditions = {f"smoothing_{k}": v for k, v in smooth.conditions.items()}
+    conditions.update(spline.conditions)
+    return ResultReport(
+        exists=smooth.exists and spline.exists,
+        witness=smooth.witness,
+        residuals=smooth.residuals,
+        conditions=conditions,
+        diagnostics=smooth.diagnostics,
+    )
+
+
 def _smoothing_equivalence(
     T, V, compat: CompatCertificate, tol: Tolerances, rng, samples: int = 100
 ) -> ResultReport:
@@ -339,13 +366,7 @@ def _dominance(T, V, G, rng, samples: int):
 
 # Registry builders (see problems.REGISTRY): a validated manifest -> ResultReport
 def _build_smoothing(m) -> ResultReport:
-    sol = smoothing_solve(m.matrices["T"], m.matrices["V"], m.matrices["f0"], m.tolerances)
-    return ResultReport(
-        exists=True,
-        min_value=sol.objective,
-        witness=sol.h.reshape(-1, 1),
-        residuals={"normal_equation": sol.normal_residual},
-    )
+    return smoothing_solve(m.matrices["T"], m.matrices["V"], m.matrices["f0"], m.tolerances)
 
 
 def _build_op_smoothing(m) -> ResultReport:
@@ -372,24 +393,7 @@ def _build_opt_inverse(m) -> ResultReport:
 
 
 def _build_tv_report(m) -> ResultReport:
-    T, V = _check_tv_dims(m.matrices["T"], m.matrices["V"])
-    tol = m.tolerances
-    # both chains read N(V) off one factorization of V and share one
-    # certificate of (T*T, N(V))
-    fv = factor(V, tol)
-    tt_weight = _tt_weight(T, tol)
-    compat = is_compatible(tt_weight, fv.null(), tol)
-    smooth = _smoothing_equivalence(T, V, compat, tol, np.random.default_rng(m.seed))
-    spline = _spline_equivalence(T, fv, tt_weight, compat, tol)
-    conditions = {f"smoothing_{k}": v for k, v in smooth.conditions.items()}
-    conditions.update(spline.conditions)
-    return ResultReport(
-        exists=smooth.exists and spline.exists,
-        witness=smooth.witness,
-        residuals=smooth.residuals,
-        conditions=conditions,
-        diagnostics=smooth.diagnostics,
-    )
+    return tv_report(m.matrices["T"], m.matrices["V"], m.tolerances, np.random.default_rng(m.seed))
 
 
 def _build_hat_report(m) -> ResultReport:

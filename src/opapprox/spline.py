@@ -12,8 +12,6 @@ and reads V^+ and N(V) off that one factorization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import EquivalenceViolation, InconsistentDims, NotInRange
@@ -35,15 +33,6 @@ from .schatten import schatten_norm
 from .shorted import CompatCertificate, _shorted, is_compatible
 
 
-@dataclass(frozen=True, eq=False)
-class SplineSolution:
-    """Interpolant with its objective value and normal-equation residual."""
-
-    h: np.ndarray
-    min_value: float
-    normal_residual: float
-
-
 def _check_tv_dims(T, V):
     T = as_matrix(T, "T")
     V = as_matrix(V, "V")
@@ -54,17 +43,15 @@ def _check_tv_dims(T, V):
     return T, V
 
 
-def spline_solve(T, V, f0, tol: Tolerances = DEFAULT_TOL) -> SplineSolution:
+def spline_solve(T, V, f0, tol: Tolerances = DEFAULT_TOL) -> ResultReport:
     """Minimize ||T h|| subject to V h = f0.
 
     Requires f0 in R(V); writes h = V^+ f0 + z with z in N(V) and solves
-    the reduced least squares for z.
+    the reduced least squares for z.  The report is the one the CLI
+    renders: h as an n x 1 witness, ||T h|| as ``min_value``, the
+    ``interpolation`` defect ||V h - f0|| and the ``normal_equation``
+    residual ||P_{N(V)} T*T h||, and the ``nullity_v`` diagnostic.
     """
-    return _spline_solve(T, V, f0, tol)[0]
-
-
-def _spline_solve(T, V, f0, tol: Tolerances):
-    """``spline_solve``, also returning the factorization of V it made."""
     T, V = _check_tv_dims(T, V)
     f0 = as_vector(f0, "f0")
     if f0.size != V.shape[0]:
@@ -73,9 +60,16 @@ def _spline_solve(T, V, f0, tol: Tolerances):
     F0 = f0.reshape(-1, 1)
     H, residuals = _spline_columns(T, fv, F0, fv.lstsq(F0), tol)
     h = H[:, 0]
-    return SplineSolution(
-        h=h, min_value=float(np.linalg.norm(T @ h)), normal_residual=float(residuals[0])
-    ), fv
+    return ResultReport(
+        exists=True,
+        min_value=float(np.linalg.norm(T @ h)),
+        witness=H,
+        residuals={
+            "interpolation": float(np.linalg.norm(V @ h - f0)),
+            "normal_equation": float(residuals[0]),
+        },
+        diagnostics={"nullity_v": fv.null().dim},
+    )
 
 
 def _spline_columns(T, fv: Factorization, F0, solved, tol: Tolerances):
@@ -273,18 +267,7 @@ def _spline_equivalence(
 
 # Registry builders (see problems.REGISTRY): a validated manifest -> ResultReport
 def _build_spline(m) -> ResultReport:
-    T, V, f0 = m.matrices["T"], m.matrices["V"], m.matrices["f0"].ravel()
-    sol, fv = _spline_solve(T, V, f0, m.tolerances)
-    return ResultReport(
-        exists=True,
-        min_value=sol.min_value,
-        witness=sol.h.reshape(-1, 1),
-        residuals={
-            "interpolation": float(np.linalg.norm(V @ sol.h - f0)),
-            "normal_equation": sol.normal_residual,
-        },
-        diagnostics={"nullity_v": fv.null().dim},
-    )
+    return spline_solve(m.matrices["T"], m.matrices["V"], m.matrices["f0"], m.tolerances)
 
 
 def _build_op_spline(m) -> ResultReport:

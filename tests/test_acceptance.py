@@ -144,14 +144,14 @@ def test_criterion_5_spline_optimality():
         n = v.shape[1]
         f0 = v @ cgauss(rng, n, 1).ravel()
         sol = spline_solve(t, v, f0)
-        ok &= np.linalg.norm(v @ sol.h - f0) <= 1e-8 * max(np.linalg.norm(f0), 1e-300)
+        ok &= np.linalg.norm(v @ sol.witness[:, 0] - f0) <= 1e-8 * max(np.linalg.norm(f0), 1e-300)
 
         nv = null_basis(v).basis
         if nv.shape[1]:
             candidate = sol.min_value**2
-            scale = max(candidate, np.linalg.norm(t) ** 2 * (1 + np.linalg.norm(sol.h)) ** 2)
+            scale = max(candidate, np.linalg.norm(t) ** 2 * (1 + np.linalg.norm(sol.witness[:, 0])) ** 2)
 
-            def objective(g, t=t, h=sol.h, nv=nv):
+            def objective(g, t=t, h=sol.witness[:, 0], nv=nv):
                 z = nv @ (cgauss(g, nv.shape[1], 1).ravel() * g.uniform(0.0, 2.0))
                 return float(np.linalg.norm(t @ (h + z)) ** 2)
 

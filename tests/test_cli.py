@@ -203,6 +203,19 @@ def test_cli_seed_changes_nothing_deterministic(tmp_path):
     assert p1["witness"] == p2["witness"]
 
 
+def test_negative_seed_is_parse_error(tmp_path):
+    # the (T,V) report seeds its dominance sampler, which takes no negative seed
+    matrices = {"T": cgauss(np.random.default_rng(0), 3, 4),
+                "V": cgauss(np.random.default_rng(1), 2, 4)}
+    bad = _write_manifest(tmp_path, "bad.json", {"problem": "report", "seed": -1}, matrices)
+    with pytest.raises(ParseError):
+        parse_manifest(bad)
+    assert main([bad]) == 64
+    good = _write_manifest(tmp_path, "good.json", {"problem": "report"}, matrices)
+    assert main([good, "--seed", "-5"]) == 64
+    assert main(["--batch", str(tmp_path), "--seed", "-5"]) == 64
+
+
 @pytest.mark.parametrize(
     "problem,matrices,extra",
     [
@@ -325,9 +338,9 @@ def test_non_psd_weight_is_dimension_error(tmp_path):
         assert main([path]) == 65, problem
 
 
-def _stderr_lines(manifest_path):
+def _stderr_lines(*args):
     proc = subprocess.run(
-        [sys.executable, "-m", "opapprox.cli", manifest_path],
+        [sys.executable, "-m", "opapprox.cli", *args],
         capture_output=True,
         text=True,
         env={**os.environ, "OPAPPROX_LOG": "error"},
@@ -423,6 +436,21 @@ def test_infinite_value_is_numerical_failure(tmp_path, capsys):
     assert payload["error"] == "numerical_failure"
     assert payload["message"].startswith("overflow encountered in ")
     assert payload["diagnostics"] == {"exception": "FloatingPointError"}
+
+
+def test_unwritable_out_writes_one_stderr_line(tmp_path):
+    code, lines = _stderr_lines(_wls_manifest(tmp_path), "--out", str(tmp_path / "no" / "r.json"))
+    assert code == 64
+    assert len(lines) == 1 and lines[0].startswith("opapprox: cannot write output: "), lines
+
+
+def test_batch_out_on_a_file_writes_one_stderr_line(tmp_path):
+    _wls_manifest(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code, lines = _stderr_lines("--batch", str(tmp_path), "--out", str(taken))
+    assert code == 64
+    assert len(lines) == 1 and lines[0].startswith("opapprox: cannot write output: "), lines
 
 
 def test_numerical_failure_writes_one_stderr_line(tmp_path):

@@ -296,9 +296,9 @@ def test_smoothing_report_columns_match_smoothing_solve(deficient, seed):
     eye = np.eye(V.shape[0], dtype=complex)
     sols = [smoothing_solve(T, V, eye[:, i]) for i in range(V.shape[0])]
     for i, sol in enumerate(sols):
-        assert _rel(rep.witness[:, i], sol.h) <= 1e-12
+        assert _rel(rep.witness[:, i], sol.witness[:, 0]) <= 1e-12
     assert rep.conditions["pointwise_solvable"] == all(
-        s.normal_residual <= RTOL * scale for s in sols
+        s.residuals["normal_equation"] <= RTOL * scale for s in sols
     )
 
 
@@ -314,10 +314,10 @@ def test_spline_report_columns_match_single_vector_checks(deficient, seed):
     anchors, _ = _spline_columns(T, fv, V, fv.lstsq(V), DEFAULT_TOL)
     sols = [spline_solve(T, V, V @ eye[:, i]) for i in range(n)]
     for i, sol in enumerate(sols):
-        assert _rel(anchors[:, i], sol.h) <= 1e-12
+        assert _rel(anchors[:, i], sol.witness[:, 0]) <= 1e-12
     scale = max(np.linalg.norm(T) ** 2, 1.0)
     assert rep.conditions["spline_pointwise_nonempty"] == all(
-        s.normal_residual <= RTOL * scale for s in sols
+        s.residuals["normal_equation"] <= RTOL * scale for s in sols
     )
 
     G = global_spline_solution(T, V)

@@ -1,7 +1,8 @@
-"""Every existence report has one shape: the ResultReport a library report
-function returns is, byte for byte, the report the CLI renders for the
-matching ``report`` row, once ``cli.execute`` has added ``problem`` and the
-``seed`` diagnostic.  The equivalence sweep script reads those reports."""
+"""Every existence report and the spline and smoothing solves have one
+shape: the ResultReport a library function returns is, byte for byte, the
+report the CLI renders for the matching registry row, once ``cli.execute``
+has added ``problem`` and the ``seed`` diagnostic.  The equivalence sweep
+script reads those reports."""
 
 import dataclasses
 import os
@@ -12,18 +13,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import opapprox
 from opapprox import (
     DEFAULT_TOL,
     BlockWeight,
+    ResultReport,
     hat_equivalence_check,
-    smoothing_equivalence_report,
-    spline_equivalence_report,
+    smoothing_solve,
+    spline_solve,
+    tv_report,
     wls_existence_report,
 )
 from opapprox.cli import execute
 from opapprox.manifest import ProblemManifest, render_report
 from opapprox.problems import REGISTRY
-from opapprox.result import ResultReport
 from test_factor_once import _role_matrices
 
 SEED = 7
@@ -34,19 +37,7 @@ def _wls(m, p):
 
 
 def _tv(m, p):
-    # the (T,V) row merges the spline flags into the smoothing report
-    smooth = smoothing_equivalence_report(
-        m["T"], m["V"], DEFAULT_TOL, rng=np.random.default_rng(SEED)
-    )
-    spline = spline_equivalence_report(m["T"], m["V"], DEFAULT_TOL)
-    return dataclasses.replace(
-        smooth,
-        exists=smooth.exists and spline.exists,
-        conditions={
-            **{f"smoothing_{k}": v for k, v in smooth.conditions.items()},
-            **spline.conditions,
-        },
-    )
+    return tv_report(m["T"], m["V"], DEFAULT_TOL, rng=np.random.default_rng(SEED))
 
 
 def _hat(m, p):
@@ -54,7 +45,15 @@ def _hat(m, p):
 
 
 LIBRARY = {("A", "W"): _wls, ("T", "V"): _tv, ("A", "W11", "W12", "W22"): _hat}
-CASES = [(roles, None) for roles in LIBRARY] + [(("A", "W"), 1.5)]
+SOLVERS = {
+    "spline": lambda m, p: spline_solve(m["T"], m["V"], m["f0"], DEFAULT_TOL),
+    "smoothing": lambda m, p: smoothing_solve(m["T"], m["V"], m["f0"], DEFAULT_TOL),
+}
+CASES = (
+    [("report", roles, None) for roles in LIBRARY]
+    + [("report", ("A", "W"), 1.5)]
+    + [(kind, ("T", "V", "f0"), None) for kind in SOLVERS]
+)
 
 
 def test_every_report_row_has_a_library_function():
@@ -63,20 +62,32 @@ def test_every_report_row_has_a_library_function():
 
 @pytest.mark.parametrize("deficient", [False, True], ids=["full_rank", "rank_deficient"])
 @pytest.mark.parametrize(
-    "roles,p", CASES, ids=[",".join(roles) + ("" if p is None else f",p={p}") for roles, p in CASES]
+    "kind,roles,p",
+    CASES,
+    ids=[
+        ("" if kind == "report" else f"{kind}:") + ",".join(roles) + ("" if p is None else f",p={p}")
+        for kind, roles, p in CASES
+    ],
 )
-def test_library_report_is_the_cli_report(roles, p, deficient):
+def test_library_report_is_the_cli_report(kind, roles, p, deficient):
     every_role = _role_matrices(8, deficient)
     matrices = {role: every_role[role] for role in roles}
     manifest = ProblemManifest(
-        problem="report", matrices=matrices, p=p, tolerances=DEFAULT_TOL, seed=SEED
+        problem=kind, matrices=matrices, p=p, tolerances=DEFAULT_TOL, seed=SEED
     )
-    library = LIBRARY[roles](matrices, p)
+    library = (LIBRARY[roles] if kind == "report" else SOLVERS[kind])(matrices, p)
     assert isinstance(library, ResultReport)
     library = dataclasses.replace(
-        library, problem="report", diagnostics={**library.diagnostics, "seed": SEED}
+        library, problem=kind, diagnostics={**library.diagnostics, "seed": SEED}
     )
     assert render_report(library) == render_report(execute(manifest))
+
+
+def test_public_surface_resolves():
+    namespace = {}
+    exec("from opapprox import *", namespace)
+    assert set(opapprox.__all__) <= set(namespace)
+    assert all(getattr(opapprox, name) is namespace[name] for name in opapprox.__all__)
 
 
 def test_equivalence_sweep_script_runs():

@@ -3,12 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cgauss, random_psd, random_unitary
+from conftest import cgauss, random_unitary
 from opapprox import (
     UnsupportedIndex,
     frechet_gp,
-    polar,
-    range_basis,
     schatten_norm,
     weighted_schatten_norm,
 )
@@ -47,38 +45,6 @@ def test_weighted_schatten_norm_examples():
         assert weighted_schatten_norm(y, w, p) == pytest.approx(0.0, abs=1e-13)
 
 
-def test_polar_psd_input():
-    rng = np.random.default_rng(1)
-    x = random_psd(rng, 4, rank=2)
-    pair = polar(x)
-    assert np.allclose(pair.abs_x, x, atol=1e-12)
-    assert np.allclose(pair.u, range_basis(x).projector(), atol=1e-10)
-
-
-def test_polar_negative_scalar():
-    pair = polar(np.array([[-2.0]]))
-    assert pair.u == pytest.approx(-1.0)
-    assert pair.abs_x == pytest.approx(2.0)
-
-
-def test_polar_shift_matrix():
-    pair = polar(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    assert np.allclose(pair.abs_x, np.diag([0.0, 1.0]), atol=1e-14)
-    assert np.allclose(pair.u, np.array([[0.0, 1.0], [0.0, 0.0]]), atol=1e-14)
-
-
-def test_polar_reconstruction_random():
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        rows, cols = int(rng.integers(1, 8)), int(rng.integers(1, 8))
-        x = cgauss(rng, rows, cols)
-        pair = polar(x)
-        assert np.allclose(pair.u @ pair.abs_x, x, atol=1e-10)
-        utu = pair.u.conj().T @ pair.u
-        assert np.allclose(utu @ utu, utu, atol=1e-10)
-        assert np.allclose(utu, utu.conj().T, atol=1e-12)
-
-
 def test_frechet_p2_plugin_value():
     assert frechet_gp(np.diag([1.0, 2.0]), np.eye(2), 2) == pytest.approx(6.0, rel=1e-13)
 
@@ -94,6 +60,21 @@ def test_frechet_rejects_p_one():
         frechet_gp(np.eye(2), np.eye(2), 1)
     with pytest.raises(UnsupportedIndex):
         schatten_norm(np.eye(2), 0.5)
+
+
+def test_frechet_reads_one_svd(monkeypatch):
+    calls = {"svd": 0, "eigh": 0}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    rng = np.random.default_rng(8)
+    frechet_gp(cgauss(rng, 5, 4), cgauss(rng, 5, 4), 3.0)
+    assert calls == {"svd": 1, "eigh": 0}
 
 
 def _fd_derivative(x, y, p, step=1e-5):

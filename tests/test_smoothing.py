@@ -23,16 +23,16 @@ from opapprox.smoothing import _dominance
 
 def test_smoothing_scalar_instances():
     sol = smoothing_solve([[1.0]], [[1.0]], [1.0])
-    assert sol.h[0] == pytest.approx(0.5, rel=1e-13)
-    assert sol.objective == pytest.approx(0.5, rel=1e-13)
+    assert sol.witness[0, 0] == pytest.approx(0.5, rel=1e-13)
+    assert sol.min_value == pytest.approx(0.5, rel=1e-13)
 
     sol = smoothing_solve([[1.0]], [[2.0]], [1.0])
-    assert sol.h[0] == pytest.approx(0.4, rel=1e-13)
-    assert sol.objective == pytest.approx(0.2, rel=1e-13)
+    assert sol.witness[0, 0] == pytest.approx(0.4, rel=1e-13)
+    assert sol.min_value == pytest.approx(0.2, rel=1e-13)
 
     sol = smoothing_solve([[1.0]], [[2.0]], [0.0])
-    assert sol.h[0] == pytest.approx(0.0, abs=1e-14)
-    assert sol.objective == pytest.approx(0.0, abs=1e-14)
+    assert sol.witness[0, 0] == pytest.approx(0.0, abs=1e-14)
+    assert sol.min_value == pytest.approx(0.0, abs=1e-14)
 
 
 def test_smoothing_matches_stacked_least_squares():
@@ -48,7 +48,7 @@ def test_smoothing_matches_stacked_least_squares():
         target = np.concatenate([np.zeros(e, dtype=complex), f0])
         via_stack = wlss_solve(stacked, np.eye(e + f), target)
         sol = smoothing_solve(t, v, f0)
-        assert np.linalg.norm(sol.h - via_stack) <= 1e-8 * max(np.linalg.norm(via_stack), 1e-300)
+        assert np.linalg.norm(sol.witness[:, 0] - via_stack) <= 1e-8 * max(np.linalg.norm(via_stack), 1e-300)
 
 
 def test_operator_smoothing_scalar_instance():

@@ -24,7 +24,7 @@ def test_spline_identity_penalty_gives_minimal_norm_interpolant():
     v = cgauss(rng, 2, 4)
     f0 = v @ cgauss(rng, 4, 1).ravel()
     sol = spline_solve(np.eye(4), v, f0)
-    assert np.allclose(sol.h, pinv(v) @ f0, atol=1e-10)
+    assert np.allclose(sol.witness[:, 0], pinv(v) @ f0, atol=1e-10)
 
 
 def test_spline_hand_instance_against_oracle():
@@ -33,15 +33,15 @@ def test_spline_hand_instance_against_oracle():
     h0 = pinv(V_ROW) @ np.array([1.0])
     oracle_value, z = quadratic_min_over_affine(np.eye(2), T_SHEAR, -T_SHEAR @ h0, n)
     sol = spline_solve(T_SHEAR, V_ROW, [1.0])
-    assert np.allclose(sol.h, h0 + z, atol=1e-12)
-    assert np.allclose(sol.h, np.array([1.0, -0.5]), atol=1e-12)
+    assert np.allclose(sol.witness[:, 0], h0 + z, atol=1e-12)
+    assert np.allclose(sol.witness[:, 0], np.array([1.0, -0.5]), atol=1e-12)
     assert sol.min_value == pytest.approx(np.sqrt(oracle_value), rel=1e-12)
     assert sol.min_value == pytest.approx(np.sqrt(0.5), rel=1e-12)
 
 
 def test_spline_zero_target():
     sol = spline_solve(T_SHEAR, V_ROW, [0.0])
-    assert np.allclose(sol.h, 0.0)
+    assert np.allclose(sol.witness[:, 0], 0.0)
     assert sol.min_value == pytest.approx(0.0, abs=1e-14)
 
 
@@ -54,12 +54,12 @@ def test_spline_rejects_unreachable_target():
 def test_is_abstract_spline_classification():
     sol = spline_solve(T_SHEAR, V_ROW, [1.0])
     h0 = pinv(V_ROW) @ np.array([1.0])
-    assert is_abstract_spline(T_SHEAR, V_ROW, h0, sol.h)
+    assert is_abstract_spline(T_SHEAR, V_ROW, h0, sol.witness[:, 0])
     # moving inside the nullspace breaks optimality when T is injective
-    bad = sol.h + null_basis(V_ROW).basis[:, 0]
+    bad = sol.witness[:, 0] + null_basis(V_ROW).basis[:, 0]
     assert not is_abstract_spline(T_SHEAR, V_ROW, h0, bad)
     # leaving the affine set breaks membership
-    assert not is_abstract_spline(T_SHEAR, V_ROW, h0, sol.h + np.array([1.0, 0.0]))
+    assert not is_abstract_spline(T_SHEAR, V_ROW, h0, sol.witness[:, 0] + np.array([1.0, 0.0]))
 
 
 def test_operator_spline_hand_instance():
@@ -120,15 +120,15 @@ def test_interpolation_and_optimality_on_random_instances():
         t, v = _random_spline_instance(rng)
         f0 = v @ cgauss(rng, v.shape[1], 1).ravel()
         sol = spline_solve(t, v, f0)
-        assert np.linalg.norm(v @ sol.h - f0) <= 1e-8 * max(np.linalg.norm(f0), 1e-300)
+        assert np.linalg.norm(v @ sol.witness[:, 0] - f0) <= 1e-8 * max(np.linalg.norm(f0), 1e-300)
 
         n = null_basis(v).basis
         if n.shape[1] == 0:
             continue
         candidate = sol.min_value**2
-        scale = max(candidate, np.linalg.norm(t) ** 2 * (1 + np.linalg.norm(sol.h)) ** 2)
+        scale = max(candidate, np.linalg.norm(t) ** 2 * (1 + np.linalg.norm(sol.witness[:, 0])) ** 2)
 
-        def objective(g, t=t, h=sol.h, n=n):
+        def objective(g, t=t, h=sol.witness[:, 0], n=n):
             z = n @ (cgauss(g, n.shape[1], 1).ravel() * g.uniform(0.0, 2.0))
             return float(np.linalg.norm(t @ (h + z)) ** 2)
 
@@ -168,7 +168,7 @@ def test_equivalence_chain_on_random_instances():
             e = np.zeros(n)
             e[i] = 1.0
             sol = spline_solve(t, v, v @ e)
-            assert sol.normal_residual <= 1e-8 * max(np.linalg.norm(t) ** 2, 1.0)
+            assert sol.residuals["normal_equation"] <= 1e-8 * max(np.linalg.norm(t) ** 2, 1.0)
 
 
 def test_spline_equivalence_report_flags_agree_on_random_instances():
