@@ -48,7 +48,6 @@ class ProblemManifest:
     p: float | None
     tolerances: Tolerances
     seed: int
-    source: str = "<memory>"
 
 
 @contextmanager
@@ -66,15 +65,17 @@ def _one_thread():
 
 
 def read_matrix(path: str) -> np.ndarray:
-    """Read a Matrix Market file as a dense complex matrix."""
+    """Read a Matrix Market file as a dense complex matrix.  A declared size
+    too large to hold (MemoryError, or ValueError past numpy's limit) is a
+    ParseError like any other unreadable file."""
     try:
         with _one_thread():
             m = scipy.io.mmread(path)
-    except (OSError, ValueError) as exc:
+        if scipy.sparse.issparse(m):
+            m = m.toarray()
+        m = np.asarray(m, dtype=complex)
+    except (OSError, ValueError, MemoryError) as exc:
         raise ParseError(f"cannot read matrix file {path!r}: {exc}") from exc
-    if scipy.sparse.issparse(m):
-        m = m.toarray()
-    m = np.asarray(m, dtype=complex)
     if m.ndim != 2:
         raise ParseError(f"matrix file {path!r} is not two-dimensional")
     if m.size and not np.all(np.isfinite(m)):
@@ -168,9 +169,7 @@ def parse_manifest(path: str) -> ProblemManifest:
             raise ParseError(f"role {role} must be a file path string")
         matrices[role] = read_matrix(os.path.join(base, ref))
 
-    manifest = ProblemManifest(
-        problem=problem, matrices=matrices, p=p, tolerances=tol, seed=seed, source=path
-    )
+    manifest = ProblemManifest(problem=problem, matrices=matrices, p=p, tolerances=tol, seed=seed)
     lookup(manifest)  # role set and p must fit a registry row
     return manifest
 

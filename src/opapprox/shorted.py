@@ -75,17 +75,18 @@ def shorted(W, S: Subspace, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     W = [[a, b], [b*, c]], this is the Schur complement c - b* a^+ b,
     embedded back into the S-perp block.  W may be a matrix or a PsdWeight.
     """
-    return _shorted(W, S, tol).matrix
+    return _shorted(W, S, orthogonal_complement(S, tol), tol).matrix
 
 
-def _shorted(W, S: Subspace, tol: Tolerances) -> PsdWeight:
+def _shorted(W, S: Subspace, S_perp: Subspace, tol: Tolerances) -> PsdWeight:
     """``shorted``, held as the PsdWeight of its clamped eigendecomposition,
-    so that its square root needs no further decomposition."""
+    so that its square root needs no further decomposition.  ``S_perp`` is
+    S-perp, read off the factorization that gave S."""
     weight = psd_weight(W, tol)
     W = weight.matrix
     _check_ambient(W, S)
     Bs = S.basis
-    Bp = orthogonal_complement(S, tol).basis
+    Bp = S_perp.basis
     a = Bs.conj().T @ W @ Bs
     b = Bs.conj().T @ W @ Bp
     c = Bp.conj().T @ W @ Bp

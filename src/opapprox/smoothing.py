@@ -31,7 +31,6 @@ from .linalg import (
 from .result import ResultReport
 from .shorted import CompatCertificate, is_compatible
 from .spline import _check_tv_dims, _spline_equivalence, _tt_weight
-from .wls import w_inverse
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,31 +177,32 @@ def hat_equivalence_check(A, W: BlockWeight, tol: Tolerances = DEFAULT_TOL) -> R
     and the companion equation (same left side, right side A* w12 + w22)
     is solvable.
 
-    The optimal inverse and the companion equation share their left side,
-    the lifted Gram matrix, so they share one factorization of it: each
-    would make the same rank decision on its own.  The lift's W-inverse
-    factors (hat A)* W (hat A), a different matrix.  When all three hold,
-    the two pieces assemble into z(f, h) = z1 f + z2 h, verified to solve
-    the lifted normal equation.
+    The lift's normal equation has the lifted Gram as its left side and
+    (hat A)* W = [A* w11 + w12* | A* w12 + w22], the other two right sides
+    side by side, as its right side.  So one factorization and two solves
+    serve all three: each block is accepted by the ``Factorization.lstsq``
+    rule, and the lift by that rule over both blocks at once.  When all
+    three hold, the two pieces assemble into z(f, h) = z1 f + z2 h,
+    verified to solve the lifted normal equation.
 
     The report is the one the CLI renders: it exists when all three flags
     hold, and then its witness is z = [z1 | z2] with its lifted
     normal-equation defect as the ``lifted_normal_equation`` residual.
     """
-    A = as_matrix(A, "A")
-    lifted = hat_lift(A)
-    w_mat = W.assemble()
-
-    z_lift = w_inverse(lifted, w_mat, tol)
     A = _check_lift_dims(A, W)
     gram = _lifted_gram(A, W)
     lifted_gram = factor(gram, tol)
-    _, g_opt = lifted_gram.solve(A.conj().T @ W.w11 + W.w12.conj().T)
-    companion_ok, z2 = lifted_gram.solve(A.conj().T @ W.w12 + W.w22)
+    rhs_opt = A.conj().T @ W.w11 + W.w12.conj().T
+    rhs_companion = A.conj().T @ W.w12 + W.w22
+    g_opt, r_opt, opt_ok = lifted_gram.lstsq(rhs_opt)
+    z2, r_companion, companion_ok = lifted_gram.lstsq(rhs_companion)
+    # the Frobenius norms of the lift's residual and right side
+    lift_residual = np.hypot(np.linalg.norm(r_opt), np.linalg.norm(r_companion))
+    lift_rhs = np.hypot(np.linalg.norm(rhs_opt), np.linalg.norm(rhs_companion))
 
     conditions = {
-        "hat_w_inverse_exists": z_lift is not None,
-        "optimal_inverse_exists": g_opt is not None,
+        "hat_w_inverse_exists": bool(lift_residual <= tol.residual_rtol * lift_rhs),
+        "optimal_inverse_exists": opt_ok,
         "companion_eq_solvable": bool(companion_ok),
     }
     if conditions["hat_w_inverse_exists"] != (
@@ -216,7 +216,7 @@ def hat_equivalence_check(A, W: BlockWeight, tol: Tolerances = DEFAULT_TOL) -> R
     if not all(conditions.values()):
         return ResultReport(exists=False, conditions=conditions)
     z = np.hstack([g_opt, z2])
-    target = lifted.conj().T @ w_mat
+    target = hat_lift(A).conj().T @ W.assemble()
     residual = float(np.linalg.norm(gram @ z - target))
     scale = max(np.linalg.norm(gram) * np.linalg.norm(z), np.linalg.norm(target), 1.0)
     if residual > tol.residual_rtol * scale:
@@ -242,13 +242,15 @@ def smoothing_equivalence_report(
     of V; sampled global dominance of G = (T*T + V*V)^+ V*; compatibility
     of (T*T, N(V)).  All must agree or EquivalenceViolation is raised.
 
-    The range inclusion, the pointwise solves, G and the ``rank_gram``
-    diagnostic all concern the Gram matrix T*T + V*V and share one
-    factorization of it; each would make the same rank decision on its
-    own.  The pointwise solves are one solve of the whole standard basis,
-    each column tested as ``smoothing_solve`` tests its residual, and
-    their columns are G.  The optimal inverse factors its own lifted Gram,
-    dominance is sampled, and compatibility is decided on N(V).
+    The range inclusion, the pointwise solves, the optimal inverse, G and
+    the ``rank_gram`` diagnostic all concern the Gram matrix T*T + V*V and
+    share one factorization of it; each would make the same rank decision
+    on its own.  The pointwise solves are one solve of the whole standard
+    basis, each column tested as ``smoothing_solve`` tests its residual,
+    and their columns are G.  The optimal inverse's normal equation is
+    that solve of V* (its lifted Gram is T*T + V*V and its right side is
+    V*), so its flag is the range inclusion's.  Dominance is sampled, and
+    compatibility is decided on N(V).
 
     The report is the one the CLI renders for the smoothing chain: when a
     solution exists, its witness is G with the Frobenius norm of the
@@ -294,11 +296,10 @@ def _smoothing_equivalence(
     already decided."""
     if rng is None:
         rng = np.random.default_rng(0)
-    f_dim, n = V.shape
     gram = _gram(T, V)
     # column i of G solves the smoothing problem for f0 = e_i, and column i
     # of R is its normal-equation residual; the solve of V* as a whole is
-    # the range inclusion
+    # the range inclusion and the (I, 0, T*T) optimal inverse of V
     gram_f = factor(gram, tol)
     G, R, range_ok = gram_f.lstsq(V.conj().T)
 
@@ -306,19 +307,12 @@ def _smoothing_equivalence(
     basis_residuals = [float(r) for r in np.linalg.norm(R, axis=0)]
     pointwise_ok = all(r <= tol.residual_rtol * scale for r in basis_residuals)
 
-    blocks = BlockWeight(
-        w11=np.eye(f_dim, dtype=complex),
-        w12=np.zeros((f_dim, n), dtype=complex),
-        w22=T.conj().T @ T,
-    )
-    g_opt = optimal_inverse(V, blocks, tol)
-
     dominance_ok, worst_gap = _dominance(T, V, G, rng, samples)
 
     conditions = {
         "range_inclusion": bool(range_ok),
         "pointwise_solvable": bool(pointwise_ok),
-        "optimal_inverse_exists": g_opt is not None,
+        "optimal_inverse_exists": bool(range_ok),
         "global_dominance": bool(dominance_ok),
         "compatible": bool(compat.compatible),
     }

@@ -168,8 +168,9 @@ def _operator_spline_min(T, fv: Factorization, anchor, tt_weight: PsdWeight, p, 
     Z = pinv(M, tol) @ (-Pn @ tt @ anchor)
     X0 = Pn @ Z + anchor
 
-    # T*T shorted to N(V): block Schur complement, reused from the weight machinery
-    value = schatten_norm(_shorted(tt_weight, null_v, tol).sqrt @ anchor, p)
+    # T*T shorted to N(V); N(V)-perp is the rest of the rows of Vh
+    row_v = Subspace(fv.Vh[: fv.rank].conj().T)
+    value = schatten_norm(_shorted(tt_weight, null_v, row_v, tol).sqrt @ anchor, p)
     achieved = schatten_norm(T @ X0, p)
     if abs(achieved - value) > tol.residual_rtol * max(value, achieved, 1.0):
         raise EquivalenceViolation(

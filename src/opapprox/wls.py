@@ -15,6 +15,7 @@ import numpy as np
 from .errors import EquivalenceViolation, InconsistentDims, NoMinimum
 from .linalg import (
     DEFAULT_TOL,
+    Subspace,
     Tolerances,
     as_matrix,
     as_vector,
@@ -24,7 +25,6 @@ from .linalg import (
     pinv,
     psd_sqrt,
     psd_weight,
-    range_basis,
     range_included,
 )
 from .result import ResultReport
@@ -76,23 +76,25 @@ def owls_min(A, W, p, tol: Tolerances = DEFAULT_TOL):
 
 
 def _owls(A, W, p, tol: Tolerances):
-    """``owls_min``, also returning the basis of R(A) it factored.  W is
-    validated before the solve: a non-PSD W can read as nonexistence."""
+    """``owls_min``, also returning the factorization of A.  W is validated
+    before the solve: a non-PSD W can read as nonexistence."""
     A, W = _check_wls_dims(A, W)
     weight = psd_weight(W, tol)
     G = w_inverse(A, W, tol)
     if G is None:
         raise NoMinimum("the normal equation is unsolvable under the current rank decisions")
-    ra = range_basis(A, tol)
-    return _owls_value(A, weight, G, _shorted(weight, ra, tol), p, tol), G, ra
+    fa = factor(A, tol)
+    return _owls_value(A, weight, G, fa, p, tol), G, fa
 
 
-def _owls_value(A, weight, G, shorted_w, p, tol: Tolerances) -> float:
+def _owls_value(A, weight, G, fa, p, tol: Tolerances) -> float:
     """The closed-form minimum from W shorted to R(A), cross-checked against
-    the weighted norm that the weighted inverse G achieves.  ``weight`` and
-    ``shorted_w`` are the PsdWeights of W and of W shorted to R(A); the
-    value is read off the shorted weight's eigenvalues, whose square roots
-    are the singular values of its root."""
+    the weighted norm that the weighted inverse G achieves.  ``weight`` is
+    the PsdWeight of W and ``fa`` the factorization of A, whose U splits
+    the codomain into R(A) and R(A)^perp.  The value is read off the
+    shorted weight's eigenvalues, whose square roots are the singular
+    values of its root."""
+    shorted_w = _shorted(weight, fa.range(), Subspace(fa.U[:, fa.rank :]), tol)
     value = _norm_of_singular_values(shorted_w.root_eigvals, p)
     eye = np.eye(A.shape[0], dtype=complex)
     achieved = weighted_schatten_norm(A @ G - eye, weight, p, tol)
@@ -155,7 +157,8 @@ def wls_existence_report(A, W, tol: Tolerances = DEFAULT_TOL, p=None) -> ResultR
 
     # (ii) R(A) + W(R(A))-perp spans the whole codomain; its rank decision
     # is the one of the compatibility certificate of (W, R(A))
-    ra = range_basis(A, tol)
+    fa = factor(A, tol)
+    ra = fa.range()
     compat = _certificate(ra, w_orthogonal_complement(weight, ra, tol), tol)
     sum_rank = compat.sum_rank
     range_sum_full = sum_rank == f_dim
@@ -179,7 +182,7 @@ def wls_existence_report(A, W, tol: Tolerances = DEFAULT_TOL, p=None) -> ResultR
 
     min_value = None
     if p is not None and exists:
-        min_value = _owls_value(A, weight, G, _shorted(weight, ra, tol), p, tol)
+        min_value = _owls_value(A, weight, G, fa, p, tol)
 
     diagnostics = {
         "rank_a": ra.dim,
@@ -230,13 +233,13 @@ def _build_w_inverse(m) -> ResultReport:
 
 def _build_owls(m) -> ResultReport:
     A, W = m.matrices["A"], m.matrices["W"]
-    value, X0, ra = _owls(A, W, m.p, m.tolerances)
+    value, X0, fa = _owls(A, W, m.p, m.tolerances)
     return ResultReport(
         exists=True,
         min_value=value,
         witness=X0,
         residuals=_weighted_inverse_residual(A, W, X0),
-        diagnostics={"rank_a": ra.dim, "p": m.p},
+        diagnostics={"rank_a": fa.rank, "p": m.p},
     )
 
 

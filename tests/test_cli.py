@@ -424,6 +424,27 @@ def test_batch_continues_past_numerical_failure(tmp_path, capsys):
     assert payload["diagnostics"] == {"exception": "FloatingPointError"}
 
 
+def test_batch_continues_past_huge_declared_size(tmp_path, capsys):
+    # sizes no 64-bit process can hold densely: 2^30 x 2^29 doubles are 4 EiB
+    # (MemoryError), and 2^32 x 2^32 overflows numpy's size (ValueError)
+    batch = tmp_path / "jobs"
+    batch.mkdir()
+    for name, rows, cols in (("a_huge", 2**30, 2**29), ("b_too_big", 2**32, 2**32)):
+        (batch / f"{name}.mtx").write_text(
+            f"%%MatrixMarket matrix coordinate real general\n{rows} {cols} 1\n1 1 1.0\n"
+        )
+        spec = {"problem": "shorted", "W": f"{name}.mtx", "S": f"{name}.mtx"}
+        (batch / f"{name}.json").write_text(json.dumps(spec))
+    _write_manifest(batch, "c_ok.json", {"problem": "smoothing"},
+                    {"T": [[1.0]], "V": [[2.0]], "f0": [[1.0]]})
+    assert main(["--batch", str(batch), "--out", str(tmp_path / "reports")]) == 64
+    out, err = capsys.readouterr()
+    assert out.splitlines() == ["a_huge: exit 64", "b_too_big: exit 64", "c_ok: exit 0"]
+    lines = err.splitlines()
+    assert len(lines) == 2, lines
+    assert all(line.startswith("opapprox: parse error: cannot read matrix file") for line in lines)
+
+
 def _overflow_manifest(tmp_path):
     # ||x||_W overflows to infinity, which a JSON report cannot hold
     return _write_manifest(tmp_path, "inf.json", {"problem": "wls"},

@@ -1,7 +1,8 @@
 """Each existence report, and each registry row run through the CLI,
-factors each distinct operator a constant number of times and decomposes
-each distinct weight once, and the batched basis solves of a report agree
-with the public single-vector solvers."""
+factors each distinct operator a constant number of times, never passes
+the same matrix to two SVDs, and decomposes each distinct weight once, and
+the batched basis solves of a report agree with the public single-vector
+solvers."""
 
 import sys
 
@@ -17,11 +18,13 @@ from opapprox import (
     hat_equivalence_check,
     is_abstract_spline,
     is_compatible,
+    operator_spline_min,
     owls_min,
     smoothing_equivalence_report,
     smoothing_solve,
     spline_equivalence_report,
     spline_solve,
+    tv_report,
     wls_existence_report,
     wlss_solve,
 )
@@ -106,14 +109,23 @@ def test_factorization_count_does_not_grow_with_n(svd_calls, report, deficient):
     assert counts[0] > 0
 
 
-# the distinct weights each report decomposes, one eigendecomposition each
+# every report, and the two operator minima that short a weight
+CALLS = {
+    **REPORTS,
+    "tv_report": lambda A, W, T, V, blocks: tv_report(T, V),
+    "owls": lambda A, W, T, V, blocks: owls_min(A, W, 1.5),
+    "op_spline": lambda A, W, T, V, blocks: operator_spline_min(T, V, V @ T, 1.5),
+}
+
+# the distinct weights each call decomposes, one eigendecomposition each
 WEIGHTS = {
     "wls": 1,  # W
     "wls_p": 2,  # W and W shorted to R(A)
     "owls": 2,  # the same two
-    "smoothing": 2,  # T*T and the block weight (I, 0, T*T) of the optimal inverse
+    "smoothing": 1,  # T*T; the optimal inverse of V reads the smoothing Gram's solve
     "spline": 2,  # T*T and T*T shorted to N(V)
-    "tv_report": 3,  # T*T, T*T shorted to N(V) and the block weight
+    "op_spline": 2,  # the same two
+    "tv_report": 2,  # the same two, shared by both chains
     "hat": 0,  # the block weight is validated when it is built
 }
 
@@ -123,15 +135,55 @@ WEIGHTS = {
 def test_one_eigendecomposition_per_distinct_weight(eig_calls, report, deficient):
     for n in (8, 32):
         args = _instances(n, deficient)
-        matrices = _role_matrices(n, deficient)
         eig_calls[0] = 0
-        if report == "owls":
-            owls_min(args[0], args[1], 1.5)
-        elif report == "tv_report":
-            _execute(ROWS["report:T,V"], matrices)
-        else:
-            REPORTS[report](*args)
+        CALLS[report](*args)
         assert eig_calls[0] == WEIGHTS[report], n
+
+
+# numpy SVDs per call.  The compatibility certificate of (W, S) takes two:
+# the W-orthogonal complement and the stacked bases (two more when S meets
+# S^{perp_W}, which none of these instances does).  A subspace complement
+# is read off the factorization that gave the subspace, never re-derived.
+SVDS = {
+    "wls": 4,  # A* W A, A, and the certificate of (W, R(A))
+    "wls_p": 6,  # those, the a-block of W shorted to R(A), the achieved norm
+    "owls": 4,  # A* W A, A, the a-block, the achieved norm
+    "smoothing": 4,  # V, the certificate of (T*T, N(V)), T*T + V*V
+    # V, the certificate, the compressed normal equation, the a-block of
+    # T*T shorted to N(V), the two p-norms and T N
+    "spline": 8,
+    "op_spline": 5,  # V, the compressed normal equation, the a-block, two norms
+    "tv_report": 9,  # the spline report's eight and T*T + V*V
+    "hat": 1,  # the lifted Gram, for the optimal inverse, companion and lift
+}
+
+
+@pytest.mark.parametrize("deficient", [False, True], ids=["full_rank", "rank_deficient"])
+@pytest.mark.parametrize("report", sorted(SVDS))
+def test_svds_per_call(monkeypatch, report, deficient):
+    calls = _count_calls(monkeypatch, np.linalg, "svd", [0])
+    for n in (8, 32):
+        args = _instances(n, deficient)
+        calls[0] = 0
+        CALLS[report](*args)
+        assert calls[0] == SVDS[report], n
+
+
+@pytest.mark.parametrize("deficient", [False, True], ids=["full_rank", "rank_deficient"])
+@pytest.mark.parametrize("report", sorted(CALLS))
+def test_no_matrix_is_decomposed_twice(monkeypatch, report, deficient):
+    inputs = []
+    _count_calls(monkeypatch, np.linalg, "svd", [0], record=inputs)
+    for n in (8, 32):
+        args = _instances(n, deficient)
+        inputs.clear()
+        CALLS[report](*args)
+        for i, later in enumerate(inputs):
+            for earlier in inputs[:i]:
+                assert not (
+                    later.shape == earlier.shape
+                    and np.linalg.norm(later - earlier) <= 1e-12 * np.linalg.norm(earlier)
+                ), (n, i, later.shape)
 
 
 def _overlapping_pair(n, overlap):
@@ -219,9 +271,10 @@ def test_registry_row_factorization_count_does_not_grow_with_n(svd_calls, row, d
     assert counts[0] > 0
 
 
-# numpy SVDs per manifest with p = 1.5: the closed-form minimum is read off
-# the eigenvalues of W shorted to R(A), not off an SVD of its square root
-SVDS_WITH_P = {"owls:A,W": 5, "report:A,W": 7}
+# numpy SVDs per manifest with p = 1.5, those of the library call the row
+# runs: the closed-form minimum is read off the eigenvalues of W shorted to
+# R(A), not off an SVD of its square root
+SVDS_WITH_P = {"owls:A,W": SVDS["owls"], "report:A,W": SVDS["wls_p"]}
 
 
 @pytest.mark.parametrize("deficient", [False, True], ids=["full_rank", "rank_deficient"])

@@ -10,7 +10,7 @@ from opapprox import (
     trivial_subspace,
     w_orthogonal_complement,
 )
-from opapprox.linalg import psd_sqrt, psd_weight
+from opapprox.linalg import orthogonal_complement, psd_sqrt, psd_weight
 from opapprox.oracles import shorted_variational
 from opapprox.shorted import _shorted
 
@@ -152,7 +152,7 @@ def test_shorted_weight_is_its_own_decomposition():
     for _ in range(30):
         w, s = _random_pair(rng)
         weight = psd_weight(w)
-        sigma = _shorted(weight, s, weight.tol)
+        sigma = _shorted(weight, s, orthogonal_complement(s), weight.tol)
         assert np.array_equal(sigma.matrix, shorted(w, s))
         scale = max(np.linalg.norm(w), 1e-300)
         decomposed = (sigma.vectors * sigma.eigvals) @ sigma.vectors.conj().T
