@@ -1,10 +1,11 @@
 """ResultReport, the one result shape of every registry row and of the
 library functions behind them (``spline_solve``, ``smoothing_solve``,
-``wls_existence_report``, ``spline_equivalence_report``,
-``smoothing_equivalence_report``, ``tv_report``,
-``hat_equivalence_check``): each returns the report the CLI renders.  A
-leaf module, so each problem family builds its reports without an import
-cycle."""
+``owls_min``, ``operator_spline_min``, ``operator_smoothing_min``,
+``optimal_inverse``, ``wls_existence_report``,
+``spline_equivalence_report``, ``smoothing_equivalence_report``,
+``tv_report``, ``hat_equivalence_check``): each returns the report the
+CLI renders.  A leaf module, so each problem family builds its reports
+without an import cycle."""
 
 from __future__ import annotations
 

@@ -111,19 +111,13 @@ def is_compatible(W, S: Subspace, tol: Tolerances = DEFAULT_TOL) -> CompatCertif
     trivial this is the unique projection onto S along S^{perp_W}.  Any
     such choice satisfies W Q = Q* W; this one is fixed for determinism.
     W may be a matrix or a PsdWeight.
-    """
-    return _certificate(S, w_orthogonal_complement(W, S, tol), tol)
-
-
-def _certificate(S: Subspace, perp_w: Subspace, tol: Tolerances) -> CompatCertificate:
-    """The body of ``is_compatible`` for a caller that already holds
-    S^{perp_W} (from ``w_orthogonal_complement``).
 
     One SVD of [S | S^{perp_W}] decides both the sum rank and the overlap:
     (x, y) lies in its nullspace iff S x = -S^{perp_W} y, so S times the S
     block of the null basis spans S cap S^{perp_W}.  (The nullspace of
     [S | -S^{perp_W}] is diag(I, -I) times this one: the same S block.)
     """
+    perp_w = w_orthogonal_complement(W, S, tol)
     n = S.ambient_dim
     stacked = factor(np.hstack([S.basis, perp_w.basis]), tol)
     sum_rank = stacked.rank

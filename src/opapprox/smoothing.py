@@ -107,17 +107,14 @@ def smoothing_solve(T, V, f0, tol: Tolerances = DEFAULT_TOL) -> ResultReport:
     )
 
 
-def operator_smoothing_min(T, V, B0, tol: Tolerances = DEFAULT_TOL):
+def operator_smoothing_min(T, V, B0, tol: Tolerances = DEFAULT_TOL) -> ResultReport:
     """Minimum of ||T X||_2^2 + ||V X - B0||_2^2 over X, with a minimizer.
 
     Solvability of (T*T + V*V) X = V* B0 is tested first; the minimal-norm
-    solution is the returned minimizer.
+    solution is the returned minimizer.  The report is the one the CLI
+    renders: the minimum as ``min_value`` and the minimizer as the witness,
+    with ||V* B0 - (T*T + V*V) X||_F as the ``normal_equation`` residual.
     """
-    return _operator_smoothing_min(T, V, B0, tol)[:2]
-
-
-def _operator_smoothing_min(T, V, B0, tol: Tolerances):
-    """``operator_smoothing_min``, also returning its residual V* B0 - gram X0."""
     T, V = _check_tv_dims(T, V)
     B0 = as_matrix(B0, "B0")
     if B0.shape[0] != V.shape[0]:
@@ -125,26 +122,33 @@ def _operator_smoothing_min(T, V, B0, tol: Tolerances):
     X0, R, ok = factor(_gram(T, V), tol).lstsq(V.conj().T @ B0)
     if not ok:
         raise NoMinimum("the smoothing normal equation is unsolvable under the rank decisions")
-    value = float(np.linalg.norm(T @ X0) ** 2 + np.linalg.norm(V @ X0 - B0) ** 2)
-    return value, X0, R
+    return ResultReport(
+        exists=True,
+        min_value=float(np.linalg.norm(T @ X0) ** 2 + np.linalg.norm(V @ X0 - B0) ** 2),
+        witness=X0,
+        residuals={"normal_equation": float(np.linalg.norm(R))},
+    )
 
 
-def optimal_inverse(A, W: BlockWeight, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:
-    """Block-weighted optimal inverse of A, or None.
+def optimal_inverse(A, W: BlockWeight, tol: Tolerances = DEFAULT_TOL) -> ResultReport:
+    """Block-weighted optimal inverse of A.
 
     G minimizes the W-seminorm of the stacked residual (A G f - f, G f)
     for every f; it exists iff
     (A* w11 A + A* w12 + w12* A + w22) X = A* w11 + w12* is solvable.
-    The minimal-Frobenius-norm solution is returned.
+    Nonexistence is a value, not an error.  The report is the one the CLI
+    renders: the ``normal_eq_solvable`` flag and, when it holds, the
+    minimal-Frobenius-norm solution as the witness with its
+    ``normal_equation`` residual.
     """
-    return _optimal_inverse(A, W, tol)[0]
-
-
-def _optimal_inverse(A, W: BlockWeight, tol: Tolerances):
-    """``optimal_inverse``, also returning its normal-equation residual."""
     A = _check_lift_dims(A, W)
     G, R, ok = factor(_lifted_gram(A, W), tol).lstsq(A.conj().T @ W.w11 + W.w12.conj().T)
-    return (G if ok else None), R
+    return ResultReport(
+        exists=ok,
+        witness=G if ok else None,
+        residuals={"normal_equation": float(np.linalg.norm(R))} if ok else {},
+        conditions={"normal_eq_solvable": ok},
+    )
 
 
 def _check_lift_dims(A, W: BlockWeight) -> np.ndarray:
@@ -364,26 +368,12 @@ def _build_smoothing(m) -> ResultReport:
 
 
 def _build_op_smoothing(m) -> ResultReport:
-    value, X0, R = _operator_smoothing_min(
-        m.matrices["T"], m.matrices["V"], m.matrices["B0"], m.tolerances
-    )
-    return ResultReport(
-        exists=True,
-        min_value=value,
-        witness=X0,
-        residuals={"normal_equation": float(np.linalg.norm(R))},
-    )
+    return operator_smoothing_min(m.matrices["T"], m.matrices["V"], m.matrices["B0"], m.tolerances)
 
 
 def _build_opt_inverse(m) -> ResultReport:
     W = BlockWeight(m.matrices["W11"], m.matrices["W12"], m.matrices["W22"])
-    G, R = _optimal_inverse(m.matrices["A"], W, m.tolerances)
-    return ResultReport(
-        exists=G is not None,
-        witness=G,
-        residuals={} if G is None else {"normal_equation": float(np.linalg.norm(R))},
-        conditions={"normal_eq_solvable": G is not None},
-    )
+    return optimal_inverse(m.matrices["A"], W, m.tolerances)
 
 
 def _build_tv_report(m) -> ResultReport:

@@ -1,13 +1,15 @@
 """Abstract spline interpolation: minimize ||T h|| over an affine set
 h0 + N(V), pointwise and as an operator problem in Schatten norms.
 
-The classical solve parametrizes the affine set by an orthonormal nullspace
-basis and solves one dense least-squares problem; ties are broken by the
-minimal coefficient norm.  The operator problem is reduced to the normal
-equation P_N T*T (P_N X + V^+ B0) = 0 and its value is expressed through
-T*T shorted to N(V).  The four equivalent existence conditions are
-evaluated by ``spline_equivalence_report``.  Every routine factors V once
-and reads V^+ and N(V) off that one factorization.
+Every minimizer is computed by ``_spline_columns``: with N an orthonormal
+basis of N(V) and h0 = V^+ f0 (or V^+ B0 column by column), it is
+h0 - N (T N)^+ T h0, the minimal correction that solves the least-squares
+problem on T N, whose condition number is that of the problem rather than
+its square.  The operator problem's value is expressed through T*T
+shorted to N(V) and cross-checked against the norm its minimizer
+achieves.  The four equivalent existence conditions are evaluated by
+``spline_equivalence_report``.  Every routine factors V once and reads
+V^+ and N(V) off that one factorization.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ def spline_solve(T, V, f0, tol: Tolerances = DEFAULT_TOL) -> ResultReport:
         raise InconsistentDims(f"f0 has length {f0.size}, expected {V.shape[0]}")
     fv = factor(V, tol)
     F0 = f0.reshape(-1, 1)
-    H, residuals = _spline_columns(T, fv, F0, fv.lstsq(F0), tol)
+    H, residuals = _spline_columns(T, fv, _pointwise_anchors(F0, fv.lstsq(F0), tol), tol)
     h = H[:, 0]
     return ResultReport(
         exists=True,
@@ -72,17 +74,24 @@ def spline_solve(T, V, f0, tol: Tolerances = DEFAULT_TOL) -> ResultReport:
     )
 
 
-def _spline_columns(T, fv: Factorization, F0, solved, tol: Tolerances):
-    """Interpolants for every column of F0 at once, with their
-    normal-equation residuals ||P_{N(V)} T*T h||.
-
-    ``fv`` is the factorization of V and ``solved`` is ``fv.lstsq(F0)``.
-    Raises NotInRange when any column of F0 is outside R(V).
-    """
+def _pointwise_anchors(F0, solved, tol: Tolerances) -> np.ndarray:
+    """V^+ F0 from ``solved = fv.lstsq(F0)``; NotInRange when any column of
+    F0 is outside R(V)."""
     H0, R, _ = solved
     outside = np.linalg.norm(R, axis=0)
     if np.any(outside > tol.residual_rtol * np.maximum(np.linalg.norm(F0, axis=0), 1e-300)):
         raise NotInRange("f0 is not in the range of V")
+    return H0
+
+
+def _spline_columns(T, fv: Factorization, H0, tol: Tolerances):
+    """The minimizer of ||T .|| over h0 + N(V) for every column h0 of H0 at
+    once, with its normal-equation residual ||P_{N(V)} T*T h||.
+
+    ``fv`` is the factorization of V.  The minimizer is h0 - N (T N)^+ T h0
+    for the orthonormal basis N of N(V), whose correction in N(V) has the
+    minimal norm when T N is rank-deficient.
+    """
     N = fv.null().basis
     C = -pinv(T @ N, tol) @ (T @ H0)
     H = H0 + N @ C
@@ -119,18 +128,34 @@ def _abstract_spline_columns(T, V, H0, H, N, tol: Tolerances) -> np.ndarray:
     return member & (grad <= tol.residual_rtol * grad_scale)
 
 
-def operator_spline_min(T, V, B0, p, tol: Tolerances = DEFAULT_TOL):
+def operator_spline_min(T, V, B0, p, tol: Tolerances = DEFAULT_TOL) -> ResultReport:
     """Minimum of ||T X||_p over V X = B0, with a minimizer.
 
-    Requires R(B0) inside R(V).  Solves the nullspace-compressed normal
-    equation for the minimal-norm correction, then anchors it at V^+ B0.
-    The closed-form value uses T*T shorted to N(V); the achieved norm
-    ||T X0||_p is cross-checked against it.
+    Requires R(B0) inside R(V).  The minimizer is the spline of each column
+    of the anchor V^+ B0 (see ``_spline_columns``).  The closed-form value
+    uses T*T shorted to N(V); the achieved norm ||T X0||_p is cross-checked
+    against it.
+
+    The report is the one the CLI renders: the value as ``min_value``, X0
+    as the witness with the ``constraint`` defect ||V X0 - B0||_F and the
+    ``normal_equation`` residual ||P_{N(V)} T*T X0||_F, and the
+    ``nullity_v`` and ``p`` diagnostics.
     """
     T, V, B0 = _check_op_dims(T, V, B0)
     fv = factor(V, tol)
     anchor = _anchor(fv.lstsq(B0))
-    return _operator_spline_min(T, fv, anchor, _tt_weight(T, tol), p, tol)[:2]
+    tt_weight = _tt_weight(T, tol)
+    X0, residuals = _spline_columns(T, fv, anchor, tol)
+    return ResultReport(
+        exists=True,
+        min_value=_spline_value(T, fv, anchor, X0, tt_weight, p, tol),
+        witness=X0,
+        residuals={
+            "constraint": float(np.linalg.norm(V @ X0 - B0)),
+            "normal_equation": float(np.linalg.norm(residuals)),
+        },
+        diagnostics={"nullity_v": fv.null().dim, "p": p},
+    )
 
 
 def _check_op_dims(T, V, B0):
@@ -156,45 +181,30 @@ def _anchor(solved) -> np.ndarray:
     return anchor
 
 
-def _operator_spline_min(T, fv: Factorization, anchor, tt_weight: PsdWeight, p, tol: Tolerances):
-    """``operator_spline_min`` with V factored as ``fv``, the anchor V^+ B0
-    from ``_anchor`` and ``tt_weight`` from ``_tt_weight``; also returns N(V)."""
-    null_v = fv.null()
-    Pn = null_v.projector()
-    # the normal equation takes T*T as computed; tt_weight holds its
-    # Hermitized copy, which can differ in the last bit
-    tt = T.conj().T @ T
-    M = Pn @ tt @ Pn
-    Z = pinv(M, tol) @ (-Pn @ tt @ anchor)
-    X0 = Pn @ Z + anchor
-
-    # T*T shorted to N(V); N(V)-perp is the rest of the rows of Vh
+def _spline_value(T, fv: Factorization, anchor, X0, tt_weight: PsdWeight, p, tol: Tolerances):
+    """The operator minimum ||(T*T shorted to N(V))^{1/2} V^+ B0||_p, with V
+    factored as ``fv``, the anchor V^+ B0, and ``tt_weight`` from
+    ``_tt_weight``; EquivalenceViolation unless the minimizer X0 achieves it."""
+    # N(V)-perp is the rest of the rows of Vh
     row_v = Subspace(fv.Vh[: fv.rank].conj().T)
-    value = schatten_norm(_shorted(tt_weight, null_v, row_v, tol).sqrt @ anchor, p)
+    value = schatten_norm(_shorted(tt_weight, fv.null(), row_v, tol).sqrt @ anchor, p)
     achieved = schatten_norm(T @ X0, p)
     if abs(achieved - value) > tol.residual_rtol * max(value, achieved, 1.0):
         raise EquivalenceViolation(
             "achieved spline norm disagrees with the shorted-operator value",
             {"value": value, "achieved": achieved},
         )
-    return value, X0, null_v
+    return value
 
 
 def global_spline_solution(T, V, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Operator G whose columns interpolate: G h minimizes ||T .|| over h + N(V).
 
-    Built from the operator solution for B0 = V, composed with the
-    projection onto N(V)-perp.
+    The minimizer of the operator problem for B0 = V.  It vanishes on N(V)
+    as it stands: its anchor V^+ V does, and so does the correction that
+    ``_spline_columns`` adds to it.
     """
-    T, V = _check_tv_dims(T, V)
-    fv = factor(V, tol)
-    anchor = _anchor(fv.lstsq(V))
-    _, X0, null_v = _operator_spline_min(T, fv, anchor, _tt_weight(T, tol), 2, tol)
-    return _project_off_null(X0, null_v)
-
-
-def _project_off_null(X0, null_v: Subspace) -> np.ndarray:
-    return X0 @ (np.eye(null_v.ambient_dim, dtype=complex) - null_v.projector())
+    return operator_spline_min(T, V, V, 2, tol).witness
 
 
 def spline_equivalence_report(T, V, tol: Tolerances = DEFAULT_TOL) -> ResultReport:
@@ -208,15 +218,16 @@ def spline_equivalence_report(T, V, tol: Tolerances = DEFAULT_TOL) -> ResultRepo
 
     V is factored once and every condition reads V^+ or N(V) off that
     factorization: a separate SVD of the same matrix would make the same
-    rank decision, so sharing it costs no independence.  The conditions
-    still differ in what they test: the operator problem solves a
-    compressed normal equation and cross-checks the shorted-operator
-    value, the column check tests membership and first-order optimality
-    of the global solution, compatibility is decided on dim(N(V) +
-    N(V)^{perp T*T}), and the pointwise solve goes through one
-    factorization of T N.  The global solution and the pointwise anchors
-    are computed for the whole standard basis at once, with the same
-    per-column tests as ``is_abstract_spline`` and ``spline_solve``.
+    rank decision, so sharing it costs no independence.  The operator
+    problem for B0 = V and the pointwise problems from the anchors V e_i
+    have one minimizer, the global solution G, which is computed once
+    through one factorization of T N.  The conditions differ in what
+    they test: the operator problem cross-checks the shorted-operator
+    value against the norm G achieves, the column check tests membership
+    and first-order optimality of G with the per-column tests of
+    ``is_abstract_spline``, compatibility is decided on dim(N(V) +
+    N(V)^{perp T*T}), and the pointwise check tests each column's
+    normal-equation residual as ``spline_solve`` does.
     """
     T, V = _check_tv_dims(T, V)
     fv = factor(V, tol)
@@ -230,26 +241,22 @@ def _spline_equivalence(
     """``spline_equivalence_report`` with V factored as ``fv``, T*T as
     ``tt_weight`` and the certificate of (T*T, N(V)) already decided."""
     V = fv.matrix
-    n = V.shape[1]
-    basis = np.eye(n, dtype=complex)
     # B0 = V for the operator problem, and the pointwise anchors V e_i are
-    # the columns of V: both start from the one solve V^+ V
+    # the columns of V: both are the one solve V^+ V, and their minimizers
+    # are one matrix, the global solution G
     solved = fv.lstsq(V)
-    try:
-        _, X0, _ = _operator_spline_min(T, fv, _anchor(solved), tt_weight, 2, tol)
-        op_solvable = True
-    except NotInRange:
-        op_solvable = False
-
-    null_v = fv.null()
+    G, residuals = _spline_columns(T, fv, solved[0], tol)
+    op_solvable = solved[2]  # R(V) in R(V), as ``_anchor`` decides it
     columns_ok = False
     if op_solvable:
-        G = _project_off_null(X0, null_v)
-        columns_ok = bool(np.all(_abstract_spline_columns(T, V, basis, G, null_v.basis, tol)))
+        # raises unless G achieves the shorted-operator value
+        _spline_value(T, fv, solved[0], G, tt_weight, 2, tol)
+        basis = np.eye(V.shape[1], dtype=complex)
+        columns_ok = bool(np.all(_abstract_spline_columns(T, V, basis, G, fv.null().basis, tol)))
 
-    # every anchor is solved, so a NotInRange from any of them still surfaces
+    # every anchor is checked, so a NotInRange from any of them still surfaces
+    _pointwise_anchors(V, solved, tol)
     scale = max(np.linalg.norm(T) ** 2, 1.0)
-    _, residuals = _spline_columns(T, fv, V, solved, tol)
     pointwise_ok = not np.any(residuals > tol.residual_rtol * scale)
 
     conditions = {
@@ -272,20 +279,6 @@ def _build_spline(m) -> ResultReport:
 
 
 def _build_op_spline(m) -> ResultReport:
-    T, V, B0 = _check_op_dims(m.matrices["T"], m.matrices["V"], m.matrices["B0"])
-    tol = m.tolerances
-    fv = factor(V, tol)
-    anchor = _anchor(fv.lstsq(B0))
-    value, X0, null_v = _operator_spline_min(T, fv, anchor, _tt_weight(T, tol), m.p, tol)
-    return ResultReport(
-        exists=True,
-        min_value=value,
-        witness=X0,
-        residuals={
-            "constraint": float(np.linalg.norm(V @ X0 - B0)),
-            "normal_equation": float(
-                np.linalg.norm(null_v.projector() @ (T.conj().T @ (T @ X0)))
-            ),
-        },
-        diagnostics={"nullity_v": null_v.dim, "p": m.p},
+    return operator_spline_min(
+        m.matrices["T"], m.matrices["V"], m.matrices["B0"], m.p, m.tolerances
     )

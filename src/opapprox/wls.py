@@ -29,7 +29,7 @@ from .linalg import (
 )
 from .result import ResultReport
 from .schatten import _norm_of_singular_values, weighted_schatten_norm
-from .shorted import _certificate, _shorted, w_orthogonal_complement
+from .shorted import _shorted, is_compatible
 
 
 def _check_wls_dims(A, W, x=None):
@@ -65,26 +65,32 @@ def w_inverse(A, W, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:
     return G if ok else None
 
 
-def owls_min(A, W, p, tol: Tolerances = DEFAULT_TOL):
+def owls_min(A, W, p, tol: Tolerances = DEFAULT_TOL) -> ResultReport:
     """Minimum of ||A X - I||_{p,W} over X, with a minimizer.
 
     The value is the p-Schatten norm of the square root of W shorted to
     R(A); the minimizer is the weighted inverse.  The achieved seminorm is
-    cross-checked against the closed-form value before returning.
+    cross-checked against the closed-form value before returning.  W is
+    validated before the solve: a non-PSD W can read as nonexistence.
+
+    The report is the one the CLI renders: the value as ``min_value``,
+    the weighted inverse as the witness with its ``normal_equation``
+    residual ||A* W (A X - I)||_F, and the ``rank_a`` and ``p``
+    diagnostics.
     """
-    return _owls(A, W, p, tol)[:2]
-
-
-def _owls(A, W, p, tol: Tolerances):
-    """``owls_min``, also returning the factorization of A.  W is validated
-    before the solve: a non-PSD W can read as nonexistence."""
     A, W = _check_wls_dims(A, W)
     weight = psd_weight(W, tol)
     G = w_inverse(A, W, tol)
     if G is None:
         raise NoMinimum("the normal equation is unsolvable under the current rank decisions")
     fa = factor(A, tol)
-    return _owls_value(A, weight, G, fa, p, tol), G, fa
+    return ResultReport(
+        exists=True,
+        min_value=_owls_value(A, weight, G, fa, p, tol),
+        witness=G,
+        residuals=_weighted_inverse_residual(A, W, G),
+        diagnostics={"rank_a": fa.rank, "p": p},
+    )
 
 
 def _owls_value(A, weight, G, fa, p, tol: Tolerances) -> float:
@@ -159,7 +165,7 @@ def wls_existence_report(A, W, tol: Tolerances = DEFAULT_TOL, p=None) -> ResultR
     # is the one of the compatibility certificate of (W, R(A))
     fa = factor(A, tol)
     ra = fa.range()
-    compat = _certificate(ra, w_orthogonal_complement(weight, ra, tol), tol)
+    compat = is_compatible(weight, ra, tol)
     sum_rank = compat.sum_rank
     range_sum_full = sum_rank == f_dim
 
@@ -232,15 +238,7 @@ def _build_w_inverse(m) -> ResultReport:
 
 
 def _build_owls(m) -> ResultReport:
-    A, W = m.matrices["A"], m.matrices["W"]
-    value, X0, fa = _owls(A, W, m.p, m.tolerances)
-    return ResultReport(
-        exists=True,
-        min_value=value,
-        witness=X0,
-        residuals=_weighted_inverse_residual(A, W, X0),
-        diagnostics={"rank_a": fa.rank, "p": m.p},
-    )
+    return owls_min(m.matrices["A"], m.matrices["W"], m.p, m.tolerances)
 
 
 def _build_report(m) -> ResultReport:

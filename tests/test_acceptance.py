@@ -59,7 +59,8 @@ def test_criterion_1_minimum_value_identity():
     for _ in range(200):
         a, w = _random_operator_weight(rng)
         p = float(rng.integers(1, 4))
-        value, x0 = owls_min(a, w, p)
+        rep = owls_min(a, w, p)
+        value, x0 = rep.min_value, rep.witness
         closed = schatten_norm(psd_sqrt(shorted(w, range_basis(a))), p)
         achieved = weighted_schatten_norm(a @ x0 - np.eye(a.shape[0]), w, p)
         top = max(value, closed, achieved)
@@ -126,7 +127,7 @@ def test_criterion_4_spline_and_smoothing_chains():
         gram = t.conj().T @ t + v.conj().T @ v
         ok &= np.allclose(smooth.witness, pinv(gram) @ v.conj().T, atol=1e-9)
 
-        _, x0 = operator_spline_min(t, v, v, 2)
+        x0 = operator_spline_min(t, v, v, 2).witness
         g = global_spline_solution(t, v)
         cols_ok = all(
             is_abstract_spline(t, v, np.eye(n)[:, i], g[:, i]) for i in range(n)
@@ -159,7 +160,8 @@ def test_criterion_5_spline_optimality():
 
         b0 = v @ cgauss(rng, n, n)
         p = float(rng.integers(1, 4))
-        value, x0 = operator_spline_min(t, v, b0, p)
+        rep = operator_spline_min(t, v, b0, p)
+        value, x0 = rep.min_value, rep.witness
         closed = schatten_norm(psd_sqrt(shorted(t.conj().T @ t, null_basis(v))) @ (pinv(v) @ b0), p)
         top = max(value, closed)
         if top > 1e-6:

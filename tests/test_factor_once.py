@@ -18,7 +18,9 @@ from opapprox import (
     hat_equivalence_check,
     is_abstract_spline,
     is_compatible,
+    operator_smoothing_min,
     operator_spline_min,
+    optimal_inverse,
     owls_min,
     smoothing_equivalence_report,
     smoothing_solve,
@@ -149,11 +151,11 @@ SVDS = {
     "wls_p": 6,  # those, the a-block of W shorted to R(A), the achieved norm
     "owls": 4,  # A* W A, A, the a-block, the achieved norm
     "smoothing": 4,  # V, the certificate of (T*T, N(V)), T*T + V*V
-    # V, the certificate, the compressed normal equation, the a-block of
-    # T*T shorted to N(V), the two p-norms and T N
-    "spline": 8,
-    "op_spline": 5,  # V, the compressed normal equation, the a-block, two norms
-    "tv_report": 9,  # the spline report's eight and T*T + V*V
+    # V, the certificate, T N, the a-block of T*T shorted to N(V) and the
+    # two p-norms
+    "spline": 7,
+    "op_spline": 5,  # V, T N, the a-block, two norms
+    "tv_report": 8,  # the spline report's seven and T*T + V*V
     "hat": 1,  # the lifted Gram, for the optimal inverse, companion and lift
 }
 
@@ -292,6 +294,9 @@ def test_owls_value_takes_no_svd_of_the_shorted_root(monkeypatch, row, deficient
 SOLVERS = {
     "owls": lambda m: owls_min(m["A"], m["W"], 1.5),
     "spline": lambda m: spline_solve(m["T"], m["V"], m["f0"]),
+    "op-spline": lambda m: operator_spline_min(m["T"], m["V"], m["B0"], 1.5),
+    "op-smoothing": lambda m: operator_smoothing_min(m["T"], m["V"], m["B0"]),
+    "opt-inverse": lambda m: optimal_inverse(m["A"], BlockWeight(m["W11"], m["W12"], m["W22"])),
 }
 
 
@@ -364,7 +369,7 @@ def test_spline_report_columns_match_single_vector_checks(deficient, seed):
     eye = np.eye(n, dtype=complex)
 
     fv = factor(V)
-    anchors, _ = _spline_columns(T, fv, V, fv.lstsq(V), DEFAULT_TOL)
+    anchors, _ = _spline_columns(T, fv, fv.lstsq(V)[0], DEFAULT_TOL)
     sols = [spline_solve(T, V, V @ eye[:, i]) for i in range(n)]
     for i, sol in enumerate(sols):
         assert _rel(anchors[:, i], sol.witness[:, 0]) <= 1e-12

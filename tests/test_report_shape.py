@@ -1,7 +1,8 @@
-"""Every existence report and the spline and smoothing solves have one
-shape: the ResultReport a library function returns is, byte for byte, the
-report the CLI renders for the matching registry row, once ``cli.execute``
-has added ``problem`` and the ``seed`` diagnostic.  The equivalence sweep
+"""Every existence report and the solvers of the spline, smoothing and
+operator rows have one shape: the ResultReport a library function returns
+is, byte for byte, the report the CLI renders for the matching registry
+row, once ``cli.execute`` has added ``problem`` and the ``seed``
+diagnostic.  The equivalence sweep
 script reads those reports."""
 
 import dataclasses
@@ -19,6 +20,10 @@ from opapprox import (
     BlockWeight,
     ResultReport,
     hat_equivalence_check,
+    operator_smoothing_min,
+    operator_spline_min,
+    optimal_inverse,
+    owls_min,
     smoothing_solve,
     spline_solve,
     tv_report,
@@ -40,19 +45,33 @@ def _tv(m, p):
     return tv_report(m["T"], m["V"], DEFAULT_TOL, rng=np.random.default_rng(SEED))
 
 
+def _blocks(m):
+    return BlockWeight(m["W11"], m["W12"], m["W22"])
+
+
 def _hat(m, p):
-    return hat_equivalence_check(m["A"], BlockWeight(m["W11"], m["W12"], m["W22"]), DEFAULT_TOL)
+    return hat_equivalence_check(m["A"], _blocks(m), DEFAULT_TOL)
 
 
 LIBRARY = {("A", "W"): _wls, ("T", "V"): _tv, ("A", "W11", "W12", "W22"): _hat}
+# kind -> (roles, p, the library call of that registry row)
 SOLVERS = {
-    "spline": lambda m, p: spline_solve(m["T"], m["V"], m["f0"], DEFAULT_TOL),
-    "smoothing": lambda m, p: smoothing_solve(m["T"], m["V"], m["f0"], DEFAULT_TOL),
+    "spline": (("T", "V", "f0"), None,
+               lambda m, p: spline_solve(m["T"], m["V"], m["f0"], DEFAULT_TOL)),
+    "smoothing": (("T", "V", "f0"), None,
+                  lambda m, p: smoothing_solve(m["T"], m["V"], m["f0"], DEFAULT_TOL)),
+    "owls": (("A", "W"), 1.5, lambda m, p: owls_min(m["A"], m["W"], p, DEFAULT_TOL)),
+    "op-spline": (("T", "V", "B0"), 1.5,
+                  lambda m, p: operator_spline_min(m["T"], m["V"], m["B0"], p, DEFAULT_TOL)),
+    "op-smoothing": (("T", "V", "B0"), None,
+                     lambda m, p: operator_smoothing_min(m["T"], m["V"], m["B0"], DEFAULT_TOL)),
+    "opt-inverse": (("A", "W11", "W12", "W22"), None,
+                    lambda m, p: optimal_inverse(m["A"], _blocks(m), DEFAULT_TOL)),
 }
 CASES = (
     [("report", roles, None) for roles in LIBRARY]
     + [("report", ("A", "W"), 1.5)]
-    + [(kind, ("T", "V", "f0"), None) for kind in SOLVERS]
+    + [(kind, roles, p) for kind, (roles, p, _) in SOLVERS.items()]
 )
 
 
@@ -75,7 +94,7 @@ def test_library_report_is_the_cli_report(kind, roles, p, deficient):
     manifest = ProblemManifest(
         problem=kind, matrices=matrices, p=p, tolerances=DEFAULT_TOL, seed=SEED
     )
-    library = (LIBRARY[roles] if kind == "report" else SOLVERS[kind])(matrices, p)
+    library = (LIBRARY[roles] if kind == "report" else SOLVERS[kind][2])(matrices, p)
     assert isinstance(library, ResultReport)
     library = dataclasses.replace(
         library, problem=kind, diagnostics={**library.diagnostics, "seed": SEED}

@@ -52,7 +52,8 @@ def test_smoothing_matches_stacked_least_squares():
 
 
 def test_operator_smoothing_scalar_instance():
-    value, x0 = operator_smoothing_min([[1.0]], [[2.0]], [[1.0]])
+    rep = operator_smoothing_min([[1.0]], [[2.0]], [[1.0]])
+    value, x0 = rep.min_value, rep.witness
     assert value == pytest.approx(0.2, rel=1e-13)
     assert x0[0, 0] == pytest.approx(0.4, rel=1e-13)
 
@@ -61,13 +62,15 @@ def test_operator_smoothing_degenerate_cases():
     rng = np.random.default_rng(1)
     t = cgauss(rng, 3, 4)
     v = cgauss(rng, 2, 4)
-    value, x0 = operator_smoothing_min(t, v, np.zeros((2, 4)))
+    rep = operator_smoothing_min(t, v, np.zeros((2, 4)))
+    value, x0 = rep.min_value, rep.witness
     assert value == pytest.approx(0.0, abs=1e-14)
     assert np.allclose(x0, 0.0)
 
     v = cgauss(rng, 3, 3) + 2 * np.eye(3)
     b0 = cgauss(rng, 3, 3)
-    value, x0 = operator_smoothing_min(np.zeros((2, 3)), v, b0)
+    rep = operator_smoothing_min(np.zeros((2, 3)), v, b0)
+    value, x0 = rep.min_value, rep.witness
     assert value == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(x0, np.linalg.solve(v, b0), atol=1e-9)
 
@@ -75,7 +78,7 @@ def test_operator_smoothing_degenerate_cases():
 def test_optimal_inverse_scalar_tikhonov():
     w = BlockWeight(np.eye(1), np.zeros((1, 1)), np.eye(1))
     for a in (1.0, 2.0, -0.5):
-        g = optimal_inverse(np.array([[a]]), w)
+        g = optimal_inverse(np.array([[a]]), w).witness
         assert g[0, 0] == pytest.approx(a / (a**2 + 1), rel=1e-13)
 
 
@@ -83,7 +86,7 @@ def test_optimal_inverse_embedding_instance():
     # per-coordinate objective (h - f1)^2 + f2^2 + h^2 has vertex h = f1 / 2
     a = np.array([[1.0], [0.0]])
     w = BlockWeight(np.eye(2), np.zeros((2, 1)), np.eye(1))
-    g = optimal_inverse(a, w)
+    g = optimal_inverse(a, w).witness
     assert np.allclose(g, np.array([[0.5, 0.0]]), atol=1e-13)
 
 
@@ -94,7 +97,7 @@ def test_optimal_inverse_exists_for_definite_lower_block():
         a = cgauss(rng, f, h)
         w22 = random_psd(rng, h) + 0.5 * np.eye(h)
         w = BlockWeight(random_psd(rng, f), np.zeros((f, h)), w22)
-        assert optimal_inverse(a, w) is not None
+        assert optimal_inverse(a, w).exists
 
 
 def test_block_weight_must_be_psd():
@@ -109,7 +112,7 @@ def test_optimal_inverse_dominates_sampled_competitors():
         a = cgauss(rng, f, h)
         w_full = random_psd(rng, f + h)
         w = BlockWeight(w_full[:f, :f], w_full[:f, f:], w_full[f:, f:])
-        g = optimal_inverse(a, w)
+        g = optimal_inverse(a, w).witness
         assert g is not None
 
         def stacked_cost(fvec, hvec, a=a, w_full=w_full):
@@ -246,7 +249,7 @@ def test_stationarity_of_operator_smoothing_minimizer():
         t = cgauss(rng, int(rng.integers(1, 5)), n)
         v = cgauss(rng, int(rng.integers(1, 5)), n)
         b0 = cgauss(rng, v.shape[0], n)
-        _, x0 = operator_smoothing_min(t, v, b0)
+        x0 = operator_smoothing_min(t, v, b0).witness
         scale = (np.linalg.norm(t) ** 2 + np.linalg.norm(v) ** 2) * max(
             np.linalg.norm(x0), 1.0
         ) + np.linalg.norm(v) * np.linalg.norm(b0)

@@ -63,7 +63,8 @@ def test_is_abstract_spline_classification():
 
 
 def test_operator_spline_hand_instance():
-    value, x0 = operator_spline_min(T_SHEAR, V_ROW, V_ROW, 2)
+    rep = operator_spline_min(T_SHEAR, V_ROW, V_ROW, 2)
+    value, x0 = rep.min_value, rep.witness
     assert value == pytest.approx(np.sqrt(0.5), rel=1e-12)
     assert np.allclose(V_ROW @ x0, V_ROW, atol=1e-12)
 
@@ -71,10 +72,11 @@ def test_operator_spline_hand_instance():
 def test_operator_spline_degenerate_cases():
     rng = np.random.default_rng(1)
     v = cgauss(rng, 2, 3)
-    value, x0 = operator_spline_min(cgauss(rng, 2, 3), v, np.zeros((2, 3)), 2)
+    rep = operator_spline_min(cgauss(rng, 2, 3), v, np.zeros((2, 3)), 2)
+    value, x0 = rep.min_value, rep.witness
     assert value == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(v @ x0, 0.0, atol=1e-10)
-    value, _ = operator_spline_min(np.zeros((2, 3)), v, v, 3)
+    value = operator_spline_min(np.zeros((2, 3)), v, v, 3).min_value
     assert value == pytest.approx(0.0, abs=1e-12)
 
 
@@ -141,7 +143,8 @@ def test_operator_value_identity_on_random_instances():
         t, v = _random_spline_instance(rng)
         b0 = v @ cgauss(rng, v.shape[1], v.shape[1])
         for p in (1, 2, 3):
-            value, x0 = operator_spline_min(t, v, b0, p)
+            rep = operator_spline_min(t, v, b0, p)
+            value, x0 = rep.min_value, rep.witness
             achieved = float(np.sum(np.linalg.svd(t @ x0, compute_uv=False) ** p) ** (1 / p))
             floor = 1e-12 * np.linalg.norm(t) * (1.0 + np.linalg.norm(x0))
             assert abs(value - achieved) <= 1e-8 * max(value, achieved) + floor
@@ -154,7 +157,7 @@ def test_equivalence_chain_on_random_instances():
         t, v = _random_spline_instance(rng)
         n = v.shape[1]
         # operator problem solvable for the full-range target
-        _, x0 = operator_spline_min(t, v, v, 2)
+        x0 = operator_spline_min(t, v, v, 2).witness
         # a bounded global solution exists and its columns are splines
         g = global_spline_solution(t, v)
         for i in range(n):
@@ -186,7 +189,7 @@ def test_operator_solution_columns_match_pointwise_solver():
     for _ in range(20):
         t, v = _random_spline_instance(rng)
         b0 = v @ cgauss(rng, v.shape[1], v.shape[1])
-        _, x0 = operator_spline_min(t, v, b0, 2)
+        x0 = operator_spline_min(t, v, b0, 2).witness
         anchor = pinv(v) @ b0
         for i in range(v.shape[1]):
             col = x0[:, i]

@@ -10,13 +10,17 @@ the conditions tested against a looser scale still hold.  The flags then
 disagree and the report raises EquivalenceViolation.  The xfail tests pin
 that defect (ROADMAP, "Stop squaring the condition number") and start to
 pass, failing the strict xfail, once no decision is taken on a formed Gram.
+
+The operator spline problem is also posed with cond(T N(V)) = c: it either
+returns the value of the QR projection on T N(V) or refuses with
+EquivalenceViolation, never a wrong value with exit 0.
 """
 
 import numpy as np
 import pytest
 
-from conftest import random_unitary
-from opapprox import EquivalenceViolation, tv_report, wls_existence_report
+from conftest import cgauss, random_unitary
+from opapprox import EquivalenceViolation, operator_spline_min, tv_report, wls_existence_report
 
 COND = 4e4
 
@@ -45,3 +49,30 @@ def test_tv_report_accepts_a_graded_full_rank_pair(n):
     A = _graded(n)
     assert tv_report(A, A[: n // 2]).exists
 
+
+
+def _ill_conditioned_spline(c, n):
+    """T, V and the operator spline minimum for B0 = V, with cond(T N) = c
+    for an orthonormal basis N of N(V).  The reference value is
+    ||(I - Q_t Q_t*) T V^+ V||_F, with Q_t an orthonormal basis of R(T N)."""
+    rng = np.random.default_rng(n)
+    h = n // 2
+    V = cgauss(rng, h, n)
+    Vh = np.linalg.svd(V)[2]
+    R, N = Vh[:h].conj().T, Vh[h:].conj().T
+    Q = random_unitary(rng, n)[:, : n - h]
+    graded = Q @ np.diag(np.geomspace(1.0, 1.0 / c, n - h)) @ N.conj().T
+    T = graded + cgauss(rng, n, n) @ R @ R.conj().T
+    Qt = np.linalg.qr(T @ N)[0]
+    reference = np.linalg.norm((np.eye(n) - Qt @ Qt.conj().T) @ T @ np.linalg.pinv(V) @ V)
+    return T, V, reference
+
+
+@pytest.mark.parametrize("c", [1e6, 1e8])
+def test_op_spline_value_is_right_or_refused(c):
+    T, V, reference = _ill_conditioned_spline(c, 8)
+    try:
+        value = operator_spline_min(T, V, V, 2).min_value
+    except EquivalenceViolation:
+        return
+    assert abs(value - reference) <= 1e-6 * reference, (value, reference)

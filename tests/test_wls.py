@@ -75,7 +75,8 @@ def test_owls_min_hand_instance_against_oracle():
     oracle_sq = sum(
         quadratic_min_over_affine(w, a, np.eye(2)[:, j], full_subspace(1))[0] for j in range(2)
     )
-    value, x0 = owls_min(a, w, 2)
+    rep = owls_min(a, w, 2)
+    value, x0 = rep.min_value, rep.witness
     assert value == pytest.approx(np.sqrt(oracle_sq), rel=1e-12)
     assert value == pytest.approx(2.0, rel=1e-12)
     assert weighted_schatten_norm(a @ x0 - np.eye(2), w, 2) == pytest.approx(value, rel=1e-10)
@@ -84,9 +85,9 @@ def test_owls_min_hand_instance_against_oracle():
 def test_owls_min_invertible_and_degenerate():
     rng = np.random.default_rng(3)
     a = cgauss(rng, 4, 4) + 2 * np.eye(4)
-    value, _ = owls_min(a, random_psd(rng, 4), 2)
+    value = owls_min(a, random_psd(rng, 4), 2).min_value
     assert value == pytest.approx(0.0, abs=1e-10)
-    value, _ = owls_min(cgauss(rng, 3, 2), np.zeros((3, 3)), 3)
+    value = owls_min(cgauss(rng, 3, 2), np.zeros((3, 3)), 3).min_value
     assert value == pytest.approx(0.0, abs=1e-12)
 
 
@@ -133,7 +134,8 @@ def test_minimum_value_identity_on_random_instances():
     for _ in range(40):
         a, w = _random_wls_instance(rng)
         for p in (1, 2, 3):
-            value, x0 = owls_min(a, w, p)
+            rep = owls_min(a, w, p)
+            value, x0 = rep.min_value, rep.witness
             root = psd_sqrt(shorted(w, range_basis(a)))
             closed_form = float(np.sum(np.linalg.svd(root, compute_uv=False) ** p) ** (1.0 / p))
             achieved = weighted_schatten_norm(a @ x0 - np.eye(a.shape[0]), w, p)
@@ -146,7 +148,7 @@ def test_operator_order_minimality():
     rng = np.random.default_rng(7)
     for _ in range(25):
         a, w = _random_wls_instance(rng)
-        _, x0 = owls_min(a, w, 2)
+        x0 = owls_min(a, w, 2).witness
         eye = np.eye(a.shape[0])
         base = (a @ x0 - eye).conj().T @ w @ (a @ x0 - eye)
         wnorm = max(np.linalg.norm(w), 1e-300)
@@ -194,5 +196,5 @@ def test_existence_report_with_norm_index():
     a, w = _random_wls_instance(rng, allow_singular=False)
     report = wls_existence_report(a, w, p=2)
     assert report.min_value is not None
-    value, _ = owls_min(a, w, 2)
+    value = owls_min(a, w, 2).min_value
     assert report.min_value == pytest.approx(value, rel=1e-12)
