@@ -17,8 +17,9 @@ other.  Pairs are compared by type:
 
 Round-off residual diagnostics (``diagnostics.max_basis_residual``) are
 exempt from the relative rule.  Each of the two values must instead stay
-within ``residual_rtol`` times the scale the report tests it against, which
-the library's ``_basis_residual_scale`` helpers compute.  The matrices and
+within the bound the report tests it against, the library's
+``linalg.normal_bound`` of the report's root (W^{1/2} A, or the stack
+[T; V]), its right side and its solution.  The matrices and
 ``residual_rtol`` come from the report's manifest: ``DIR/<relative
 path>/<stem>.json`` under ``--inputs``, or the manifest beside the report
 when the tree was written without ``--out``.  Identical exempt values need
@@ -40,7 +41,7 @@ import sys
 
 import numpy as np
 
-from opapprox import smoothing, wls
+from opapprox.linalg import normal_bound, pinv, psd_sqrt
 from opapprox.manifest import matrix_from_json, parse_manifest, read_matrix
 
 RTOL = 1e-12
@@ -100,15 +101,17 @@ def _compare(a, b, path: tuple, exempt_out: list, errors: list) -> None:
 
 
 def residual_bound(manifest_path: str) -> float:
-    """residual_rtol times the scale the library tests ``max_basis_residual`` against."""
+    """The ``normal_bound`` that the library tests ``max_basis_residual`` against."""
     m = parse_manifest(manifest_path)
-    mats = m.matrices
+    mats, tol = m.matrices, m.tolerances
     if "W" in mats:
-        scale = wls._basis_residual_scale(mats["A"], mats["W"])
+        B = psd_sqrt(mats["W"], tol)
+        M = B @ mats["A"]
     else:
         T, V = mats["T"], mats["V"]
-        scale = smoothing._basis_residual_scale(smoothing._gram(T, V), V)
-    return m.tolerances.residual_rtol * scale
+        M = np.vstack([T, V])
+        B = np.vstack([np.zeros((T.shape[0], V.shape[0])), np.eye(V.shape[0])])
+    return normal_bound(M, pinv(M, tol) @ B, B, tol)
 
 
 def _manifest_for(rel: str, dir_a: str, inputs: str | None) -> str | None:

@@ -9,26 +9,24 @@ becomes a rank decision governed by ``rank_rtol``.
 
 A ``Factorization`` (built by ``factor``) holds one SVD of a matrix and its
 rank decision, and answers every question about that matrix: ``pinv``,
-``range``, ``null``, ``solve`` (the range-inclusion test with its factor)
-and ``lstsq`` (the same solve with every column's residual).  ``pinv``,
+``range``, ``null``, ``solve`` and ``lstsq`` (the range-inclusion test),
+``normal`` (the least-squares solve) and ``off_range``.  ``pinv``,
 ``range_basis``, ``null_basis``, ``matrix_rank`` and ``range_included``
-are one-shot wrappers over it.  A caller that asks several questions of
-one operator, or solves for many right-hand sides, factors it once and
+are one-shot wrappers over it.  A caller factors each operator once and
 passes the value along, so the SVD count of a report does not grow with
 the dimension.  Every SVD goes through ``svd_with_rank``.
 
+Every normal equation M* M C = M* B of the library is solved on its root
+M, never on the Gram M* M, whose condition number is the square of M's;
+``normal_bound`` is the one rule that decides its solvability.
+
 A ``PsdWeight`` (built by ``psd_weight``) is the same idea for a weight:
 one ``eigh`` of the Hermitized matrix validates it (NotPsd) and gives
-lambda_max, the rank decision and W^{1/2}.  ``psd_sqrt``,
+lambda_max, the rank decision and the root W^{1/2}.  ``psd_sqrt``,
 ``ensure_psd_weight`` and the weight-taking routines of ``shorted`` and
 ``schatten`` accept a PsdWeight in place of a matrix and read it instead
-of validating or decomposing again.  A shorted operator is built in the
-same form from the eigendecomposition of its Schur complement, so its
-root costs no further decomposition.  ``ensure_psd_weight`` on a matrix
-validates with ``eigvalsh`` alone, for callers that need nothing else of
-the weight.  Subspace questions follow the same rule: the compatibility
-certificate in ``shorted`` reads dim(S + S^{perp_W}) and the overlap
-S cap S^{perp_W} off one factorization of the stacked bases.
+of validating or decomposing again.  ``ensure_psd_weight`` on a matrix
+validates with ``eigvalsh`` alone.
 """
 
 from __future__ import annotations
@@ -208,11 +206,33 @@ class Factorization:
         C, _, included = self.lstsq(B)
         return (True, C) if included else (False, None)
 
+    def normal(self, B):
+        """Solve M* M C = M* B without forming M* M: returns (C, R, solvable),
+        with C = M^+ B, its residual R = M* (B - M C) (column j belongs to
+        column j of B), and ||R||_F <= ``normal_bound(M, C, B)``."""
+        C, R, _ = self.lstsq(B)
+        R = self.matrix.conj().T @ R
+        return C, R, bool(np.linalg.norm(R) <= normal_bound(self.matrix, C, B, self.tol))
+
+    def off_range(self, Y) -> np.ndarray:
+        """U_perp* Y for the orthonormal basis U_perp of R(M)-perp: the part of
+        Y outside the range, with the singular values of (I - P) Y."""
+        return self.U[:, self.rank :].conj().T @ Y
+
 
 def factor(M, tol: Tolerances = DEFAULT_TOL) -> Factorization:
     """Factor M once; the result answers pinv, range, null and solve."""
     M = as_matrix(M)
     return Factorization(M, *svd_with_rank(M, tol), tol)
+
+
+def normal_bound(M, C, B, tol: Tolerances = DEFAULT_TOL) -> float:
+    """residual_rtol ||M||_F (||M||_F ||C||_F + ||B||_F): the largest residual
+    M* (B - M C) of M* M C = M* B that a solvability decision accepts, for
+    all columns at once or for each.  It is the scale of the residual's
+    rounding error and moves with M, C and B."""
+    m = np.linalg.norm(M)
+    return float(tol.residual_rtol * m * (m * np.linalg.norm(C) + np.linalg.norm(B)))
 
 
 def matrix_rank(M, tol: Tolerances = DEFAULT_TOL) -> int:
@@ -252,12 +272,10 @@ class PsdWeight:
     """A validated Hermitian PSD weight held as one eigendecomposition.
 
     ``matrix`` is the Hermitized weight and equals
-    ``vectors @ diag(eigvals) @ vectors*`` (``vectors`` has orthonormal
-    columns; it may have fewer columns than rows when the remaining
-    eigenvalues are zero).  ``lam_max``, the rank decision and the square
-    root are read off the decomposition, so a routine handed a PsdWeight
-    neither validates nor decomposes it again.  Decisions use ``tol``,
-    the tolerances it was built with.
+    ``vectors @ diag(eigvals) @ vectors*``.  ``lam_max``, the rank
+    decision and the square root are read off the decomposition, so a
+    routine handed a PsdWeight neither validates nor decomposes it again.
+    Decisions use ``tol``, the tolerances it was built with.
     """
 
     matrix: np.ndarray
@@ -279,21 +297,13 @@ class PsdWeight:
         the singular values above the ``svd_with_rank`` cutoff."""
         return int(np.count_nonzero(self.eigvals > self.tol.rank_rtol * self.lam_max))
 
-    @property
-    def root_eigvals(self) -> np.ndarray:
-        """The eigenvalues of ``sqrt``, which are also its singular values
-        (up to zeros): square roots of the eigenvalues, with those within
-        the rank cutoff of zero (either sign) clamped to zero first."""
-        kept = self.eigvals > self.tol.rank_rtol * self.lam_max
-        return np.sqrt(np.where(kept, self.eigvals, 0.0))
-
     @cached_property
     def sqrt(self) -> np.ndarray:
-        """Hermitian PSD square root with eigenvalues ``root_eigvals``, so the
-        root's rank is the weight's rank.  Formed on first use; do not
-        modify it."""
+        """Hermitian PSD root, with the eigenvalues within the rank cutoff of
+        zero (either sign) clamped to zero, so its rank is the weight's."""
+        kept = self.eigvals > self.tol.rank_rtol * self.lam_max
         Q = self.vectors
-        return hermitize((Q * self.root_eigvals) @ Q.conj().T)
+        return hermitize((Q * np.sqrt(np.where(kept, self.eigvals, 0.0))) @ Q.conj().T)
 
 
 def _hermitian_part(W, tol: Tolerances, name: str) -> np.ndarray:
@@ -351,13 +361,8 @@ def ensure_psd_weight(W, tol: Tolerances = DEFAULT_TOL, name: str = "W") -> np.n
 
 
 def psd_sqrt(W, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Hermitian PSD square root via eigendecomposition.
-
-    Eigenvalues below -rank_rtol*lambda_max raise NotPsd; eigenvalues
-    within the rank cutoff of zero (either sign) are clamped to zero before
-    the root, so the root's rank matches the rank decision on W and the
-    clamp is idempotent.  A PsdWeight's root is read off its decomposition.
-    """
+    """Hermitian PSD square root via eigendecomposition, ``PsdWeight.sqrt``;
+    NotPsd below -rank_rtol*lambda_max.  The clamp is idempotent."""
     return psd_weight(W, tol).sqrt
 
 

@@ -1,6 +1,15 @@
 """Shorted operators (Schur complements of positive operators to subspaces),
 weighted orthogonal complements, and compatibility certificates.
 
+A weight is shorted through a root: if W = R* R, then W shorted to S (the
+largest PSD operator below W with range in S-perp) is R* (I - P) R on
+S-perp, where P is the orthogonal projection onto R(R S) (Anderson and
+Trapp, "Shorted operators II", 1975).  So no Schur complement of W is
+formed, and the root of the shorted weight, (I - P) R, has the singular
+values every closed-form minimum is read off.  The Schur complement
+c - b* a^+ b stays the tests' independent reference
+(``oracles.shorted_variational``).
+
 A pair (W, S) of a PSD weight and a closed subspace is *compatible* when
 some projection Q with range S satisfies W Q = Q* W; equivalently the
 whole space is S + S^{perp_W}.  In finite dimensions every pair is
@@ -17,7 +26,6 @@ import numpy as np
 from .errors import InconsistentDims
 from .linalg import (
     DEFAULT_TOL,
-    PsdWeight,
     Subspace,
     Tolerances,
     complement_within,
@@ -26,7 +34,6 @@ from .linalg import (
     hermitize,
     null_basis,
     orthogonal_complement,
-    pinv,
     psd_weight,
     range_basis,
     trivial_subspace,
@@ -73,33 +80,23 @@ def shorted(W, S: Subspace, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
     In the orthonormal block split F = S (+) S-perp with
     W = [[a, b], [b*, c]], this is the Schur complement c - b* a^+ b,
-    embedded back into the S-perp block.  W may be a matrix or a PsdWeight.
+    embedded back into the S-perp block.  It is computed as K* K for the
+    root K that ``_shorted`` builds from W^{1/2}.  W may be a matrix or a
+    PsdWeight.
     """
-    return _shorted(W, S, orthogonal_complement(S, tol), tol).matrix
-
-
-def _shorted(W, S: Subspace, S_perp: Subspace, tol: Tolerances) -> PsdWeight:
-    """``shorted``, held as the PsdWeight of its clamped eigendecomposition,
-    so that its square root needs no further decomposition.  ``S_perp`` is
-    S-perp, read off the factorization that gave S."""
     weight = psd_weight(W, tol)
-    W = weight.matrix
-    _check_ambient(W, S)
-    Bs = S.basis
+    _check_ambient(weight.matrix, S)
+    K = _shorted(weight.sqrt, S, orthogonal_complement(S, tol), tol)
+    return hermitize(K.conj().T @ K)
+
+
+def _shorted(R, S: Subspace, S_perp: Subspace, tol: Tolerances) -> np.ndarray:
+    """A root K of the weight R* R shorted to S, so that K* K is the shorted
+    weight: (I - P) R on S-perp and zero on S, with P the projection onto
+    R(R S), in the coordinates of R(R S)-perp.  ``S_perp`` is S-perp, read
+    off the factorization that gave S."""
     Bp = S_perp.basis
-    a = Bs.conj().T @ W @ Bs
-    b = Bs.conj().T @ W @ Bp
-    c = Bp.conj().T @ W @ Bp
-    schur = hermitize(c - b.conj().T @ pinv(a, tol) @ b)
-    # The difference c - b* a^+ b cancels to the noise floor of W's scale
-    # when the complement is genuinely singular, so its rank decision must
-    # be taken relative to W, not to the (possibly all-noise) result.
-    eigvals, q = np.zeros(0), schur
-    if schur.size:
-        eigvals, q = np.linalg.eigh(schur)
-        eigvals = np.where(eigvals > tol.rank_rtol * weight.lam_max, eigvals, 0.0)
-        schur = (q * eigvals) @ q.conj().T
-    return PsdWeight(hermitize(Bp @ schur @ Bp.conj().T), eigvals, Bp @ q, tol)
+    return factor(R @ S.basis, tol).off_range(R @ Bp) @ Bp.conj().T
 
 
 def is_compatible(W, S: Subspace, tol: Tolerances = DEFAULT_TOL) -> CompatCertificate:
@@ -117,7 +114,11 @@ def is_compatible(W, S: Subspace, tol: Tolerances = DEFAULT_TOL) -> CompatCertif
     block of the null basis spans S cap S^{perp_W}.  (The nullspace of
     [S | -S^{perp_W}] is diag(I, -I) times this one: the same S block.)
     """
-    perp_w = w_orthogonal_complement(W, S, tol)
+    return _certificate(S, w_orthogonal_complement(W, S, tol), tol)
+
+
+def _certificate(S: Subspace, perp_w: Subspace, tol: Tolerances) -> CompatCertificate:
+    """``is_compatible`` with S^{perp_W} already computed by the caller."""
     n = S.ambient_dim
     stacked = factor(np.hstack([S.basis, perp_w.basis]), tol)
     sum_rank = stacked.rank

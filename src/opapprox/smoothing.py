@@ -1,36 +1,38 @@
 """Smoothing problems and block-weighted optimal inverses.
 
-The classical smoothing objective ||T h||^2 + ||V h - f0||^2 reduces to the
-normal equation (T*T + V*V) h = V* f0, equivalently to ordinary least
-squares on the stacked operator h -> (T h, V h) with the plain direct-sum
-inner product.  A block weight on F (+) H defines optimal inverses; the
-stack lift A -> (A h, h) turns optimal inverses of A into weighted
-inverses of the lifted operator, and the report operations certify that
-the two existence questions (plus a companion equation) stay in lockstep.
-Everything here is p = 2: the Hilbert-space reduction is specific to the
-squared norm.
+The classical smoothing objective ||T h||^2 + ||V h - f0||^2 is ordinary
+least squares on the stacked operator M = [T; V] with right side
+[0; f0]; its normal equation (T*T + V*V) h = V* f0 is solved on that root
+by ``Factorization.normal``, so T*T + V*V is never formed.  A block weight
+on F (+) H defines optimal inverses; the stack lift A -> (A h, h) turns
+optimal inverses of A into weighted inverses of the lifted operator,
+whose root is W^{1/2} times the lift, and the report operations certify
+that the two existence questions (plus a companion equation) stay in
+lockstep.  Everything here is p = 2: the Hilbert-space reduction is
+specific to the squared norm.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import EquivalenceViolation, InconsistentDims, NoMinimum
 from .linalg import (
     DEFAULT_TOL,
+    Factorization,
+    PsdWeight,
     Tolerances,
     as_matrix,
     as_vector,
-    ensure_psd_weight,
     factor,
-    null_basis,
-    pinv,
+    normal_bound,
+    psd_weight,
 )
 from .result import ResultReport
-from .shorted import CompatCertificate, is_compatible
-from .spline import _check_tv_dims, _spline_equivalence, _tt_weight
+from .shorted import CompatCertificate
+from .spline import _check_tv_dims, _spline_equivalence, _tt_compatibility
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,12 +40,14 @@ class BlockWeight:
     """2x2 block PSD weight on F (+) H: [[w11, w12], [w12*, w22]].
 
     w11 acts on F, w22 on H, w12 maps H to F.  The assembled matrix must
-    be PSD within tolerance.
+    be PSD within tolerance; ``weight`` is its PsdWeight, whose root the
+    lifted problems are solved on.
     """
 
     w11: np.ndarray
     w12: np.ndarray
     w22: np.ndarray
+    weight: PsdWeight = field(init=False, repr=False)
 
     def __post_init__(self):
         w11 = as_matrix(self.w11, "w11")
@@ -58,7 +62,8 @@ class BlockWeight:
         object.__setattr__(self, "w11", w11)
         object.__setattr__(self, "w12", w12)
         object.__setattr__(self, "w22", w22)
-        ensure_psd_weight(self.assemble(), name="assembled block weight")
+        weight = psd_weight(self.assemble(), name="assembled block weight")
+        object.__setattr__(self, "weight", weight)
 
     @property
     def f_dim(self) -> int:
@@ -74,60 +79,54 @@ class BlockWeight:
         return np.vstack([top, bottom])
 
 
-def _gram(T, V) -> np.ndarray:
-    """T*T + V*V, the left side of every smoothing normal equation."""
-    return T.conj().T @ T + V.conj().T @ V
+def _data(T, F) -> np.ndarray:
+    """[0; F], the right side that pairs with the stack [T; V]."""
+    return np.vstack([np.zeros((T.shape[0], F.shape[1]), dtype=complex), F])
 
 
-def _basis_residual_scale(gram, V) -> float:
-    """max(||gram||_F, 1) max(||V||_F, 1): the report accepts a basis solve
-    whose normal-equation residual is at most residual_rtol times this."""
-    return float(max(np.linalg.norm(gram), 1.0) * max(np.linalg.norm(V), 1.0))
+def _smoothing_fit(T, V, B, tol: Tolerances):
+    """The minimal-norm minimizer X = [T; V]^+ [0; B] of ||T X||^2 +
+    ||V X - B||^2 as a report, and the solvability decision of its normal
+    equation (T*T + V*V) X = V* B, whose residual T* T X + V* (V X - B) is
+    the ``normal_equation`` residual."""
+    X, R, solvable = factor(np.vstack([T, V]), tol).normal(_data(T, B))
+    return ResultReport(
+        exists=True,
+        min_value=float(np.linalg.norm(T @ X) ** 2 + np.linalg.norm(V @ X - B) ** 2),
+        witness=X,
+        residuals={"normal_equation": float(np.linalg.norm(R))},
+    ), solvable
 
 
 def smoothing_solve(T, V, f0, tol: Tolerances = DEFAULT_TOL) -> ResultReport:
     """Minimize ||T h||^2 + ||V h - f0||^2; minimal-norm h among minimizers.
 
     The report is the one the CLI renders: h as an n x 1 witness, the
-    objective as ``min_value`` and ||(T*T + V*V) h - V* f0|| as the
-    ``normal_equation`` residual.
+    objective as ``min_value`` and its ``normal_equation`` residual.
     """
     T, V = _check_tv_dims(T, V)
     f0 = as_vector(f0, "f0")
     if f0.size != V.shape[0]:
         raise InconsistentDims(f"f0 has length {f0.size}, expected {V.shape[0]}")
-    gram = _gram(T, V)
-    rhs = V.conj().T @ f0
-    h = pinv(gram, tol) @ rhs
-    return ResultReport(
-        exists=True,
-        min_value=float(np.linalg.norm(T @ h) ** 2 + np.linalg.norm(V @ h - f0) ** 2),
-        witness=h.reshape(-1, 1),
-        residuals={"normal_equation": float(np.linalg.norm(gram @ h - rhs))},
-    )
+    return _smoothing_fit(T, V, f0.reshape(-1, 1), tol)[0]
 
 
 def operator_smoothing_min(T, V, B0, tol: Tolerances = DEFAULT_TOL) -> ResultReport:
     """Minimum of ||T X||_2^2 + ||V X - B0||_2^2 over X, with a minimizer.
 
-    Solvability of (T*T + V*V) X = V* B0 is tested first; the minimal-norm
-    solution is the returned minimizer.  The report is the one the CLI
-    renders: the minimum as ``min_value`` and the minimizer as the witness,
-    with ||V* B0 - (T*T + V*V) X||_F as the ``normal_equation`` residual.
+    Solvability of (T*T + V*V) X = V* B0 is decided on the stack [T; V];
+    the minimal-norm solution is the returned minimizer.  The report is
+    the one the CLI renders: the minimum as ``min_value`` and the
+    minimizer as the witness, with its ``normal_equation`` residual.
     """
     T, V = _check_tv_dims(T, V)
     B0 = as_matrix(B0, "B0")
     if B0.shape[0] != V.shape[0]:
         raise InconsistentDims(f"B0 must have {V.shape[0]} rows, got {B0.shape[0]}")
-    X0, R, ok = factor(_gram(T, V), tol).lstsq(V.conj().T @ B0)
-    if not ok:
+    report, solvable = _smoothing_fit(T, V, B0, tol)
+    if not solvable:
         raise NoMinimum("the smoothing normal equation is unsolvable under the rank decisions")
-    return ResultReport(
-        exists=True,
-        min_value=float(np.linalg.norm(T @ X0) ** 2 + np.linalg.norm(V @ X0 - B0) ** 2),
-        witness=X0,
-        residuals={"normal_equation": float(np.linalg.norm(R))},
-    )
+    return report
 
 
 def optimal_inverse(A, W: BlockWeight, tol: Tolerances = DEFAULT_TOL) -> ResultReport:
@@ -136,13 +135,16 @@ def optimal_inverse(A, W: BlockWeight, tol: Tolerances = DEFAULT_TOL) -> ResultR
     G minimizes the W-seminorm of the stacked residual (A G f - f, G f)
     for every f; it exists iff
     (A* w11 A + A* w12 + w12* A + w22) X = A* w11 + w12* is solvable.
-    Nonexistence is a value, not an error.  The report is the one the CLI
-    renders: the ``normal_eq_solvable`` flag and, when it holds, the
+    That is the normal equation of the lift's root W^{1/2} hat(A) with
+    the first f columns of W^{1/2} as right side, so G is the first f
+    columns of the lift's W-inverse.  Nonexistence is a value, not an
+    error.  The report is the one the CLI renders: the
+    ``normal_eq_solvable`` flag and, when it holds, the
     minimal-Frobenius-norm solution as the witness with its
     ``normal_equation`` residual.
     """
     A = _check_lift_dims(A, W)
-    G, R, ok = factor(_lifted_gram(A, W), tol).lstsq(A.conj().T @ W.w11 + W.w12.conj().T)
+    G, R, ok = _lifted_root(A, W, tol).normal(W.weight.sqrt[:, : W.f_dim])
     return ResultReport(
         exists=ok,
         witness=G if ok else None,
@@ -166,14 +168,10 @@ def hat_lift(A) -> np.ndarray:
     return np.vstack([A, np.eye(A.shape[1], dtype=complex)])
 
 
-def _lifted_gram(A, W: BlockWeight) -> np.ndarray:
-    # (hat A)* W (hat A) = A* w11 A + A* w12 + w12* A + w22
-    return (
-        A.conj().T @ W.w11 @ A
-        + A.conj().T @ W.w12
-        + W.w12.conj().T @ A
-        + W.w22
-    )
+def _lifted_root(A, W: BlockWeight, tol: Tolerances) -> Factorization:
+    """One factorization of W^{1/2} hat(A) = W^{1/2} [A; I], the root of the
+    lifted Gram (hat A)* W (hat A) = A* w11 A + A* w12 + w12* A + w22."""
+    return factor(W.weight.sqrt @ hat_lift(A), tol)
 
 
 def hat_equivalence_check(A, W: BlockWeight, tol: Tolerances = DEFAULT_TOL) -> ResultReport:
@@ -181,33 +179,30 @@ def hat_equivalence_check(A, W: BlockWeight, tol: Tolerances = DEFAULT_TOL) -> R
     and the companion equation (same left side, right side A* w12 + w22)
     is solvable.
 
-    The lift's normal equation has the lifted Gram as its left side and
-    (hat A)* W = [A* w11 + w12* | A* w12 + w22], the other two right sides
-    side by side, as its right side.  So one factorization and two solves
-    serve all three: each block is accepted by the ``Factorization.lstsq``
-    rule, and the lift by that rule over both blocks at once.  When all
-    three hold, the two pieces assemble into z(f, h) = z1 f + z2 h,
-    verified to solve the lifted normal equation.
+    The lift's W-inverse z is one normal solve on the root W^{1/2} hat(A)
+    with right side W^{1/2}, since (hat A)* W = [A* w11 + w12* |
+    A* w12 + w22] holds the other two right sides side by side: its first
+    f columns are the optimal inverse and its last h columns solve the
+    companion equation.  Each block and the whole are judged by
+    ``normal_bound`` on their own columns.
 
     The report is the one the CLI renders: it exists when all three flags
-    hold, and then its witness is z = [z1 | z2] with its lifted
-    normal-equation defect as the ``lifted_normal_equation`` residual.
+    hold, and then its witness is z with its lifted normal-equation defect
+    as the ``lifted_normal_equation`` residual.
     """
     A = _check_lift_dims(A, W)
-    gram = _lifted_gram(A, W)
-    lifted_gram = factor(gram, tol)
-    rhs_opt = A.conj().T @ W.w11 + W.w12.conj().T
-    rhs_companion = A.conj().T @ W.w12 + W.w22
-    g_opt, r_opt, opt_ok = lifted_gram.lstsq(rhs_opt)
-    z2, r_companion, companion_ok = lifted_gram.lstsq(rhs_companion)
-    # the Frobenius norms of the lift's residual and right side
-    lift_residual = np.hypot(np.linalg.norm(r_opt), np.linalg.norm(r_companion))
-    lift_rhs = np.hypot(np.linalg.norm(rhs_opt), np.linalg.norm(rhs_companion))
+    lifted = _lifted_root(A, W, tol)
+    root = W.weight.sqrt
+    z, R, lift_ok = lifted.normal(root)
+
+    def block_ok(cols) -> bool:
+        bound = normal_bound(lifted.matrix, z[:, cols], root[:, cols], tol)
+        return bool(np.linalg.norm(R[:, cols]) <= bound)
 
     conditions = {
-        "hat_w_inverse_exists": bool(lift_residual <= tol.residual_rtol * lift_rhs),
-        "optimal_inverse_exists": opt_ok,
-        "companion_eq_solvable": bool(companion_ok),
+        "hat_w_inverse_exists": lift_ok,
+        "optimal_inverse_exists": block_ok(slice(None, W.f_dim)),
+        "companion_eq_solvable": block_ok(slice(W.f_dim, None)),
     }
     if conditions["hat_w_inverse_exists"] != (
         conditions["optimal_inverse_exists"] and conditions["companion_eq_solvable"]
@@ -219,19 +214,10 @@ def hat_equivalence_check(A, W: BlockWeight, tol: Tolerances = DEFAULT_TOL) -> R
 
     if not all(conditions.values()):
         return ResultReport(exists=False, conditions=conditions)
-    z = np.hstack([g_opt, z2])
-    target = hat_lift(A).conj().T @ W.assemble()
-    residual = float(np.linalg.norm(gram @ z - target))
-    scale = max(np.linalg.norm(gram) * np.linalg.norm(z), np.linalg.norm(target), 1.0)
-    if residual > tol.residual_rtol * scale:
-        raise EquivalenceViolation(
-            "assembled solution fails the lifted normal equation",
-            {"residual": residual, "scale": scale},
-        )
     return ResultReport(
         exists=True,
         witness=z,
-        residuals={"lifted_normal_equation": residual},
+        residuals={"lifted_normal_equation": float(np.linalg.norm(R))},
         conditions=conditions,
     )
 
@@ -247,21 +233,21 @@ def smoothing_equivalence_report(
     of (T*T, N(V)).  All must agree or EquivalenceViolation is raised.
 
     The range inclusion, the pointwise solves, the optimal inverse, G and
-    the ``rank_gram`` diagnostic all concern the Gram matrix T*T + V*V and
-    share one factorization of it; each would make the same rank decision
-    on its own.  The pointwise solves are one solve of the whole standard
-    basis, each column tested as ``smoothing_solve`` tests its residual,
-    and their columns are G.  The optimal inverse's normal equation is
-    that solve of V* (its lifted Gram is T*T + V*V and its right side is
-    V*), so its flag is the range inclusion's.  Dominance is sampled, and
-    compatibility is decided on N(V).
+    the ``rank_gram`` diagnostic all concern T*T + V*V, whose root is the
+    stack [T; V], and share one factorization of the stack.  The pointwise
+    solves are one normal solve of the standard basis [0; I], each column
+    judged by ``normal_bound``, and their columns are G.  That solve as a
+    whole is the optimal inverse's normal equation (its lifted Gram is
+    T*T + V*V and its right side V*).  The range inclusion is read off the
+    same SVD: R(V*) lies in R([T; V]*) iff V vanishes on N([T; V]).
+    Dominance is sampled, and compatibility is decided on N(V).
 
     The report is the one the CLI renders for the smoothing chain: when a
     solution exists, its witness is G with the Frobenius norm of the
     basis residuals V* - (T*T + V*V) G as the ``normal_equation`` residual.
     """
     T, V = _check_tv_dims(T, V)
-    compat = is_compatible(T.conj().T @ T, null_basis(V, tol), tol)
+    compat = _tt_compatibility(T, factor(V, tol), tol)
     return _smoothing_equivalence(T, V, compat, tol, rng, samples)
 
 
@@ -278,10 +264,9 @@ def tv_report(T, V, tol: Tolerances = DEFAULT_TOL, rng=None) -> ResultReport:
     """
     T, V = _check_tv_dims(T, V)
     fv = factor(V, tol)
-    tt_weight = _tt_weight(T, tol)
-    compat = is_compatible(tt_weight, fv.null(), tol)
+    compat = _tt_compatibility(T, fv, tol)
     smooth = _smoothing_equivalence(T, V, compat, tol, rng)
-    spline = _spline_equivalence(T, fv, tt_weight, compat, tol)
+    spline = _spline_equivalence(T, fv, compat, tol)
     conditions = {f"smoothing_{k}": v for k, v in smooth.conditions.items()}
     conditions.update(spline.conditions)
     return ResultReport(
@@ -300,23 +285,27 @@ def _smoothing_equivalence(
     already decided."""
     if rng is None:
         rng = np.random.default_rng(0)
-    gram = _gram(T, V)
+    stack = factor(np.vstack([T, V]), tol)
     # column i of G solves the smoothing problem for f0 = e_i, and column i
-    # of R is its normal-equation residual; the solve of V* as a whole is
-    # the range inclusion and the (I, 0, T*T) optimal inverse of V
-    gram_f = factor(gram, tol)
-    G, R, range_ok = gram_f.lstsq(V.conj().T)
+    # of R is its normal-equation residual; the solve as a whole is the
+    # (I, 0, T*T) optimal inverse of V
+    E = _data(T, np.eye(V.shape[0], dtype=complex))
+    G, R, optimal_ok = stack.normal(E)
 
-    scale = _basis_residual_scale(gram, V)
+    bound = normal_bound(stack.matrix, G, E, tol)
     basis_residuals = [float(r) for r in np.linalg.norm(R, axis=0)]
-    pointwise_ok = all(r <= tol.residual_rtol * scale for r in basis_residuals)
+    pointwise_ok = all(r <= bound for r in basis_residuals)
+
+    # R(V*) in R([T; V]*), the row space: V vanishes on N([T; V])
+    outside = np.linalg.norm(V @ stack.null().basis)
+    range_ok = bool(outside <= tol.residual_rtol * np.linalg.norm(V))
 
     dominance_ok, worst_gap = _dominance(T, V, G, rng, samples)
 
     conditions = {
-        "range_inclusion": bool(range_ok),
+        "range_inclusion": range_ok,
         "pointwise_solvable": bool(pointwise_ok),
-        "optimal_inverse_exists": bool(range_ok),
+        "optimal_inverse_exists": optimal_ok,
         "global_dominance": bool(dominance_ok),
         "compatible": bool(compat.compatible),
     }
@@ -327,7 +316,7 @@ def _smoothing_equivalence(
         )
     exists = all(conditions.values())
     diagnostics = {
-        "rank_gram": gram_f.rank,
+        "rank_gram": stack.rank,
         "max_basis_residual": max(basis_residuals) if basis_residuals else 0.0,
         "worst_dominance_gap": worst_gap,
     }

@@ -3,13 +3,15 @@ h0 + N(V), pointwise and as an operator problem in Schatten norms.
 
 Every minimizer is computed by ``_spline_columns``: with N an orthonormal
 basis of N(V) and h0 = V^+ f0 (or V^+ B0 column by column), it is
-h0 - N (T N)^+ T h0, the minimal correction that solves the least-squares
-problem on T N, whose condition number is that of the problem rather than
-its square.  The operator problem's value is expressed through T*T
-shorted to N(V) and cross-checked against the norm its minimizer
-achieves.  The four equivalent existence conditions are evaluated by
-``spline_equivalence_report``.  Every routine factors V once and reads
-V^+ and N(V) off that one factorization.
+h0 - N (T N)^+ T h0, the least-squares solve on T N, whose condition
+number is that of the problem rather than its square.  The operator
+problem's value is T*T shorted to N(V) applied to the anchor, read
+through the root T: ||(I - Q_t Q_t*) T V^+ B0||_p, with Q_t an
+orthonormal basis of R(T N) from the same factorization of T N (see
+``shorted``); it is cross-checked against the norm its minimizer
+achieves.  No T*T is formed.  The four equivalent existence conditions
+are evaluated by ``spline_equivalence_report``.  Every routine factors V
+once and reads V^+ and N(V) off that one factorization.
 """
 
 from __future__ import annotations
@@ -20,19 +22,16 @@ from .errors import EquivalenceViolation, InconsistentDims, NotInRange
 from .linalg import (
     DEFAULT_TOL,
     Factorization,
-    PsdWeight,
-    Subspace,
     Tolerances,
     as_matrix,
     as_vector,
     factor,
+    normal_bound,
     null_basis,
-    pinv,
-    psd_weight,
 )
 from .result import ResultReport
 from .schatten import schatten_norm
-from .shorted import CompatCertificate, _shorted, is_compatible
+from .shorted import CompatCertificate, _certificate
 
 
 def _check_tv_dims(T, V):
@@ -60,7 +59,7 @@ def spline_solve(T, V, f0, tol: Tolerances = DEFAULT_TOL) -> ResultReport:
         raise InconsistentDims(f"f0 has length {f0.size}, expected {V.shape[0]}")
     fv = factor(V, tol)
     F0 = f0.reshape(-1, 1)
-    H, residuals = _spline_columns(T, fv, _pointwise_anchors(F0, fv.lstsq(F0), tol), tol)
+    H, _, R, _ = _spline_columns(T, fv, _pointwise_anchors(F0, fv.lstsq(F0), tol), tol)
     h = H[:, 0]
     return ResultReport(
         exists=True,
@@ -68,7 +67,7 @@ def spline_solve(T, V, f0, tol: Tolerances = DEFAULT_TOL) -> ResultReport:
         witness=H,
         residuals={
             "interpolation": float(np.linalg.norm(V @ h - f0)),
-            "normal_equation": float(residuals[0]),
+            "normal_equation": float(np.linalg.norm(R)),
         },
         diagnostics={"nullity_v": fv.null().dim},
     )
@@ -86,18 +85,20 @@ def _pointwise_anchors(F0, solved, tol: Tolerances) -> np.ndarray:
 
 def _spline_columns(T, fv: Factorization, H0, tol: Tolerances):
     """The minimizer of ||T .|| over h0 + N(V) for every column h0 of H0 at
-    once, with its normal-equation residual ||P_{N(V)} T*T h||.
+    once.
 
     ``fv`` is the factorization of V.  The minimizer is h0 - N (T N)^+ T h0
     for the orthonormal basis N of N(V), whose correction in N(V) has the
-    minimal norm when T N is rank-deficient.
+    minimal norm when T N is rank-deficient.  Returns (H, ftn, R, bound):
+    the minimizers, the factorization of T N, the normal-equation residual
+    R = -N* T* T H (one column per column of H0) and the ``normal_bound``
+    of that solve.
     """
     N = fv.null().basis
-    C = -pinv(T @ N, tol) @ (T @ H0)
-    H = H0 + N @ C
-    if not N.shape[1]:
-        return H, np.zeros(H.shape[1])
-    return H, np.linalg.norm(N.conj().T @ (T.conj().T @ (T @ H)), axis=0)
+    ftn = factor(T @ N, tol)
+    TH0 = T @ H0
+    C, R, _ = ftn.normal(-TH0)
+    return H0 + N @ C, ftn, R, normal_bound(ftn.matrix, C, TH0, tol)
 
 
 def is_abstract_spline(T, V, h0, h, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -144,15 +145,14 @@ def operator_spline_min(T, V, B0, p, tol: Tolerances = DEFAULT_TOL) -> ResultRep
     T, V, B0 = _check_op_dims(T, V, B0)
     fv = factor(V, tol)
     anchor = _anchor(fv.lstsq(B0))
-    tt_weight = _tt_weight(T, tol)
-    X0, residuals = _spline_columns(T, fv, anchor, tol)
+    X0, ftn, R, _ = _spline_columns(T, fv, anchor, tol)
     return ResultReport(
         exists=True,
-        min_value=_spline_value(T, fv, anchor, X0, tt_weight, p, tol),
+        min_value=_spline_value(T, ftn, anchor, X0, p, tol),
         witness=X0,
         residuals={
             "constraint": float(np.linalg.norm(V @ X0 - B0)),
-            "normal_equation": float(np.linalg.norm(residuals)),
+            "normal_equation": float(np.linalg.norm(R)),
         },
         diagnostics={"nullity_v": fv.null().dim, "p": p},
     )
@@ -166,30 +166,30 @@ def _check_op_dims(T, V, B0):
     return T, V, B0
 
 
-def _tt_weight(T, tol: Tolerances) -> PsdWeight:
-    """T*T, the weight that is shorted to N(V)."""
-    return psd_weight(T.conj().T @ T, tol)
-
-
 def _anchor(solved) -> np.ndarray:
     """V^+ B0 from ``solved = fv.lstsq(B0)``; NotInRange unless R(B0) lies in
-    R(V).  Decided before T*T is formed, so a nonexistent problem costs no
-    eigendecomposition."""
+    R(V)."""
     anchor, _, included = solved
     if not included:
         raise NotInRange("R(B0) is not contained in R(V)")
     return anchor
 
 
-def _spline_value(T, fv: Factorization, anchor, X0, tt_weight: PsdWeight, p, tol: Tolerances):
-    """The operator minimum ||(T*T shorted to N(V))^{1/2} V^+ B0||_p, with V
-    factored as ``fv``, the anchor V^+ B0, and ``tt_weight`` from
-    ``_tt_weight``; EquivalenceViolation unless the minimizer X0 achieves it."""
-    # N(V)-perp is the rest of the rows of Vh
-    row_v = Subspace(fv.Vh[: fv.rank].conj().T)
-    value = schatten_norm(_shorted(tt_weight, fv.null(), row_v, tol).sqrt @ anchor, p)
+def _spline_value(T, ftn: Factorization, anchor, X0, p, tol: Tolerances):
+    """The operator minimum ||(I - Q_t Q_t*) T V^+ B0||_p, with ``ftn`` the
+    factorization of T N and the anchor V^+ B0; EquivalenceViolation unless
+    the minimizer X0 achieves it.
+
+    T*T shorted to N(V) is T* (I - Q_t Q_t*) T on N(V)-perp (see
+    ``shorted``), where the anchor lies.  The two norms must agree within
+    residual_rtol times the larger of them and ||T V^+ B0||_F, the
+    objective at the anchor, which is the scale of a zero minimum.
+    """
+    TH0 = T @ anchor
+    value = schatten_norm(ftn.off_range(TH0), p)
     achieved = schatten_norm(T @ X0, p)
-    if abs(achieved - value) > tol.residual_rtol * max(value, achieved, 1.0):
+    scale = max(value, achieved, float(np.linalg.norm(TH0)))
+    if abs(achieved - value) > tol.residual_rtol * scale:
         raise EquivalenceViolation(
             "achieved spline norm disagrees with the shorted-operator value",
             {"value": value, "achieved": achieved},
@@ -231,39 +231,44 @@ def spline_equivalence_report(T, V, tol: Tolerances = DEFAULT_TOL) -> ResultRepo
     """
     T, V = _check_tv_dims(T, V)
     fv = factor(V, tol)
-    tt_weight = _tt_weight(T, tol)
-    return _spline_equivalence(T, fv, tt_weight, is_compatible(tt_weight, fv.null(), tol), tol)
+    return _spline_equivalence(T, fv, _tt_compatibility(T, fv, tol), tol)
 
 
-def _spline_equivalence(
-    T, fv: Factorization, tt_weight: PsdWeight, compat: CompatCertificate, tol: Tolerances
-) -> ResultReport:
-    """``spline_equivalence_report`` with V factored as ``fv``, T*T as
-    ``tt_weight`` and the certificate of (T*T, N(V)) already decided."""
+def _tt_compatibility(T, fv: Factorization, tol: Tolerances) -> CompatCertificate:
+    """The compatibility certificate of (T*T, N(V)) for V factored as ``fv``.
+    N(V)^{perp T*T} is the nullspace of (T N)* T for the orthonormal basis
+    N of N(V), which is formed without T*T."""
+    null_v = fv.null()
+    perp = null_basis((T @ null_v.basis).conj().T @ T, tol)
+    return _certificate(null_v, perp, tol)
+
+
+def _spline_equivalence(T, fv: Factorization, compat: CompatCertificate, tol: Tolerances):
+    """``spline_equivalence_report`` with V factored as ``fv`` and the
+    certificate of (T*T, N(V)) already decided."""
     V = fv.matrix
     # B0 = V for the operator problem, and the pointwise anchors V e_i are
     # the columns of V: both are the one solve V^+ V, and their minimizers
     # are one matrix, the global solution G
     solved = fv.lstsq(V)
-    G, residuals = _spline_columns(T, fv, solved[0], tol)
+    G, ftn, R, bound = _spline_columns(T, fv, solved[0], tol)
     op_solvable = solved[2]  # R(V) in R(V), as ``_anchor`` decides it
     columns_ok = False
     if op_solvable:
         # raises unless G achieves the shorted-operator value
-        _spline_value(T, fv, solved[0], G, tt_weight, 2, tol)
+        _spline_value(T, ftn, solved[0], G, 2, tol)
         basis = np.eye(V.shape[1], dtype=complex)
         columns_ok = bool(np.all(_abstract_spline_columns(T, V, basis, G, fv.null().basis, tol)))
 
     # every anchor is checked, so a NotInRange from any of them still surfaces
     _pointwise_anchors(V, solved, tol)
-    scale = max(np.linalg.norm(T) ** 2, 1.0)
-    pointwise_ok = not np.any(residuals > tol.residual_rtol * scale)
+    pointwise_ok = bool(np.all(np.linalg.norm(R, axis=0) <= bound))
 
     conditions = {
         "spline_operator_solvable": op_solvable,
         "spline_global_columns": columns_ok,
         "spline_compatible": bool(compat.compatible),
-        "spline_pointwise_nonempty": bool(pointwise_ok),
+        "spline_pointwise_nonempty": pointwise_ok,
     }
     if len(set(conditions.values())) != 1:
         raise EquivalenceViolation(

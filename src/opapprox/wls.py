@@ -3,9 +3,9 @@ minimum in weighted Schatten norms, and the four-way existence report.
 
 A W-least-squares solution of A z = x minimizes the seminorm ||A z - x||_W;
 a weighted inverse G maps every x to such a solution, and exists exactly
-when the normal equation A* W (A X - I) = 0 is solvable.  Among the affine
-set of weighted inverses the minimal-Frobenius-norm representative is
-returned, for determinism.
+when the normal equation A* W (A X - I) = 0 is solvable.  It is decided
+on the root M = W^{1/2} A (``Factorization.normal``), never on A* W A, and
+G = M^+ W^{1/2} is the minimal-Frobenius-norm weighted inverse.
 """
 
 from __future__ import annotations
@@ -15,42 +15,54 @@ import numpy as np
 from .errors import EquivalenceViolation, InconsistentDims, NoMinimum
 from .linalg import (
     DEFAULT_TOL,
-    Subspace,
+    PsdWeight,
     Tolerances,
     as_matrix,
     as_vector,
-    ensure_psd_weight,
     factor,
     matrix_rank,
+    normal_bound,
     pinv,
     psd_sqrt,
     psd_weight,
-    range_included,
 )
 from .result import ResultReport
-from .schatten import _norm_of_singular_values, weighted_schatten_norm
-from .shorted import _shorted, is_compatible
+from .schatten import schatten_norm, weighted_schatten_norm
+from .shorted import is_compatible
 
 
-def _check_wls_dims(A, W, x=None):
+def _check_wls_dims(A, W, tol: Tolerances, x=None):
+    """A, the PsdWeight of W and x, with their shapes checked and W
+    validated (NotPsd) before any solve: a non-PSD W can read as
+    nonexistence."""
     A = as_matrix(A, "A")
-    W = as_matrix(W, "W")
+    if not isinstance(W, PsdWeight):
+        W = as_matrix(W, "W")
     if W.shape[0] != W.shape[1] or W.shape[0] != A.shape[0]:
         raise InconsistentDims(
             f"W must be square with dimension {A.shape[0]} (rows of A), got {W.shape}"
         )
-    if x is not None:
-        x = as_vector(x, "x")
-        if x.size != A.shape[0]:
-            raise InconsistentDims(f"x has length {x.size}, expected {A.shape[0]}")
-        return A, W, x
-    return A, W
+    if x is None:
+        return A, psd_weight(W, tol)
+    x = as_vector(x, "x")
+    if x.size != A.shape[0]:
+        raise InconsistentDims(f"x has length {x.size}, expected {A.shape[0]}")
+    return A, psd_weight(W, tol), x
+
+
+def _weighted_inverse(A, weight: PsdWeight, tol: Tolerances):
+    """One factorization of the root W^{1/2} A and its normal solve for
+    B = W^{1/2}: returns (factorization, G, R, solvable), G = (W^{1/2} A)^+
+    W^{1/2} and R = A* W (I - A G), one column per standard basis vector."""
+    fm = factor(weight.sqrt @ A, tol)
+    return (fm, *fm.normal(weight.sqrt))
 
 
 def wlss_solve(A, W, x, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Minimal-Euclidean-norm solution of the normal equation A* W A u = A* W x."""
-    A, W, x = _check_wls_dims(A, W, x)
-    return pinv(A.conj().T @ W @ A, tol) @ (A.conj().T @ W @ x)
+    """Minimal-Euclidean-norm solution u = (W^{1/2} A)^+ W^{1/2} x of the
+    normal equation A* W A u = A* W x.  W may be a matrix or a PsdWeight."""
+    A, weight, x = _check_wls_dims(A, W, tol, x)
+    return pinv(weight.sqrt @ A, tol) @ (weight.sqrt @ x)
 
 
 def w_inverse(A, W, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:
@@ -60,51 +72,53 @@ def w_inverse(A, W, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:
     error (it cannot occur in exact finite-dimensional arithmetic, only
     through rank decisions).
     """
-    A, W = _check_wls_dims(A, W)
-    ok, G = range_included(A.conj().T @ W, A.conj().T @ W @ A, tol)
-    return G if ok else None
+    A, weight = _check_wls_dims(A, W, tol)
+    _, G, _, solvable = _weighted_inverse(A, weight, tol)
+    return G if solvable else None
 
 
 def owls_min(A, W, p, tol: Tolerances = DEFAULT_TOL) -> ResultReport:
     """Minimum of ||A X - I||_{p,W} over X, with a minimizer.
 
-    The value is the p-Schatten norm of the square root of W shorted to
-    R(A); the minimizer is the weighted inverse.  The achieved seminorm is
-    cross-checked against the closed-form value before returning.  W is
-    validated before the solve: a non-PSD W can read as nonexistence.
+    The value is the p-Schatten norm of the root of W shorted to R(A); the
+    minimizer is the weighted inverse.  The achieved seminorm is
+    cross-checked against the closed-form value before returning.
 
     The report is the one the CLI renders: the value as ``min_value``,
     the weighted inverse as the witness with its ``normal_equation``
     residual ||A* W (A X - I)||_F, and the ``rank_a`` and ``p``
     diagnostics.
     """
-    A, W = _check_wls_dims(A, W)
-    weight = psd_weight(W, tol)
-    G = w_inverse(A, W, tol)
-    if G is None:
+    A, weight = _check_wls_dims(A, W, tol)
+    fm, G, R, solvable = _weighted_inverse(A, weight, tol)
+    if not solvable:
         raise NoMinimum("the normal equation is unsolvable under the current rank decisions")
-    fa = factor(A, tol)
     return ResultReport(
         exists=True,
-        min_value=_owls_value(A, weight, G, fa, p, tol),
+        min_value=_owls_value(A, weight, G, fm, p, tol),
         witness=G,
-        residuals=_weighted_inverse_residual(A, W, G),
-        diagnostics={"rank_a": fa.rank, "p": p},
+        residuals={"normal_equation": float(np.linalg.norm(R))},
+        diagnostics={"rank_a": matrix_rank(A, tol), "p": p},
     )
 
 
-def _owls_value(A, weight, G, fa, p, tol: Tolerances) -> float:
-    """The closed-form minimum from W shorted to R(A), cross-checked against
-    the weighted norm that the weighted inverse G achieves.  ``weight`` is
-    the PsdWeight of W and ``fa`` the factorization of A, whose U splits
-    the codomain into R(A) and R(A)^perp.  The value is read off the
-    shorted weight's eigenvalues, whose square roots are the singular
-    values of its root."""
-    shorted_w = _shorted(weight, fa.range(), Subspace(fa.U[:, fa.rank :]), tol)
-    value = _norm_of_singular_values(shorted_w.root_eigvals, p)
+def _owls_value(A, weight, G, fm, p, tol: Tolerances) -> float:
+    """The closed-form minimum ||(I - P) W^{1/2}||_p, cross-checked against
+    the weighted norm that the weighted inverse G achieves.
+
+    W shorted to R(A) is W^{1/2} (I - P) W^{1/2}, with P the projection
+    onto R(W^{1/2} A) (Anderson-Trapp), so (I - P) W^{1/2} is its root.
+    ``weight`` is the PsdWeight of W and ``fm`` the factorization of
+    W^{1/2} A, whose U splits the codomain into R(P) and its complement.
+    The two norms must agree within residual_rtol times the larger of them
+    and ||W^{1/2}||_F, the objective at X = 0, which is the scale of a
+    minimum that is zero.
+    """
+    value = schatten_norm(fm.off_range(weight.sqrt), p)
     eye = np.eye(A.shape[0], dtype=complex)
     achieved = weighted_schatten_norm(A @ G - eye, weight, p, tol)
-    if abs(achieved - value) > tol.residual_rtol * max(value, achieved, 1.0):
+    scale = max(value, achieved, float(np.linalg.norm(weight.sqrt)))
+    if abs(achieved - value) > tol.residual_rtol * scale:
         raise EquivalenceViolation(
             "achieved weighted norm disagrees with the shorted-operator value",
             {"value": value, "achieved": achieved},
@@ -112,33 +126,19 @@ def _owls_value(A, weight, G, fa, p, tol: Tolerances) -> float:
     return value
 
 
-def _basis_residual_scale(A, W) -> float:
-    """||A||_F ||W||_F: the report accepts a basis solve whose normal-equation
-    residual is at most residual_rtol times this."""
-    return float(np.linalg.norm(A) * np.linalg.norm(W))
-
-
-def _weighted_inverse_residual(A, W, G) -> dict:
-    """{"normal_equation": ||A* W (A G - I)||_F}, the defect of a weighted
-    inverse G, or no residual when there is none."""
-    if G is None:
-        return {}
-    eye = np.eye(A.shape[0], dtype=complex)
-    return {"normal_equation": float(np.linalg.norm(A.conj().T @ W @ (A @ G - eye)))}
-
-
 def wls_existence_report(A, W, tol: Tolerances = DEFAULT_TOL, p=None) -> ResultReport:
     """Evaluate the four equivalent existence conditions.
 
-    Conditions (i), (iii) and (iv) are statements about the one operator
-    A* W A, so they share one factorization of it: (i) solves the whole
-    standard basis as one right-hand side and tests each column's
-    normal-equation residual, (iii) and (iv) are the range-inclusion test
-    of A* W in it.  Sharing the factorization shares only the rank
-    decision, which each of them would make identically on its own;
-    condition (ii) is decided on different matrices (R(A) and its
-    W-orthogonal complement).  Disagreement raises EquivalenceViolation
-    with the divergent flags attached.
+    Conditions (i), (iii) and (iv) are statements about the one root
+    W^{1/2} A of A* W A, so they share one factorization of it: (i) solves
+    the whole standard basis as one right-hand side and tests each
+    column's normal-equation residual, (iii) and (iv) are the solvability
+    decision of ``Factorization.normal`` on that solve.  Each column and
+    the whole are judged by ``normal_bound``.  Sharing the factorization
+    shares only the rank decision, which each of them would make
+    identically on its own; condition (ii) is decided on different
+    matrices (R(A) and its W-orthogonal complement).  Disagreement raises
+    EquivalenceViolation with the divergent flags attached.
 
     The report is the one the CLI renders: the weighted inverse is the
     witness with its normal-equation residual, the conditions are the
@@ -146,20 +146,17 @@ def wls_existence_report(A, W, tol: Tolerances = DEFAULT_TOL, p=None) -> ResultR
     certificate of (W, R(A)), and, when ``p`` is given and a solution
     exists, ``min_value`` is the operator minimum.
     """
-    A, W = _check_wls_dims(A, W)
-    weight = psd_weight(W, tol)
+    A, weight = _check_wls_dims(A, W, tol)
     f_dim = A.shape[0]
-    aw = A.conj().T @ W
-    normal = factor(aw @ A, tol)
-    # column i of U = (A* W A)^+ A* W solves the normal equation for e_i,
-    # and column i of R is its residual A* W e_i - A* W A u_i
-    U, R, normal_ok = normal.lstsq(aw)
+    # column i of G solves the normal equation for e_i, and column i of R
+    # is its residual A* W e_i - A* W A g_i
+    fm, G, R, normal_ok = _weighted_inverse(A, weight, tol)
 
     # (i) a solution exists for every right-hand side: the standard basis
     # is exhaustive by linearity
-    scale = _basis_residual_scale(A, W)
+    bound = normal_bound(fm.matrix, G, weight.sqrt, tol)
     residuals = [float(r) for r in np.linalg.norm(R, axis=0)]
-    solvable_for_all = all(r <= tol.residual_rtol * scale for r in residuals)
+    solvable_for_all = all(r <= bound for r in residuals)
 
     # (ii) R(A) + W(R(A))-perp spans the whole codomain; its rank decision
     # is the one of the compatibility certificate of (W, R(A))
@@ -170,14 +167,12 @@ def wls_existence_report(A, W, tol: Tolerances = DEFAULT_TOL, p=None) -> ResultR
     range_sum_full = sum_rank == f_dim
 
     # (iii) the normal equation A* W A X = A* W is solvable, and (iv) its
-    # minimal-norm solution U is the weighted inverse
-    G = U if normal_ok else None
-
+    # minimal-norm solution G is the weighted inverse
     conditions = {
         "wlss_for_all_x": bool(solvable_for_all),
         "range_sum_full": bool(range_sum_full),
-        "normal_eq_solvable": bool(normal_ok),
-        "w_inverse_exists": G is not None,
+        "normal_eq_solvable": normal_ok,
+        "w_inverse_exists": normal_ok,
     }
     if len(set(conditions.values())) != 1:
         raise EquivalenceViolation(
@@ -188,7 +183,7 @@ def wls_existence_report(A, W, tol: Tolerances = DEFAULT_TOL, p=None) -> ResultR
 
     min_value = None
     if p is not None and exists:
-        min_value = _owls_value(A, weight, G, fa, p, tol)
+        min_value = _owls_value(A, weight, G, fm, p, tol)
 
     diagnostics = {
         "rank_a": ra.dim,
@@ -202,8 +197,8 @@ def wls_existence_report(A, W, tol: Tolerances = DEFAULT_TOL, p=None) -> ResultR
     return ResultReport(
         exists=exists,
         min_value=min_value,
-        witness=G,
-        residuals=_weighted_inverse_residual(A, W, G),
+        witness=G if exists else None,
+        residuals={"normal_equation": float(np.linalg.norm(R))} if exists else {},
         conditions={**conditions, "compatible": compat.compatible},
         diagnostics=diagnostics,
     )
@@ -211,12 +206,13 @@ def wls_existence_report(A, W, tol: Tolerances = DEFAULT_TOL, p=None) -> ResultR
 
 # Registry builders (see problems.REGISTRY): a validated manifest -> ResultReport
 def _build_wls(m) -> ResultReport:
-    A, W, x = m.matrices["A"], m.matrices["W"], m.matrices["x"].ravel()
-    u = wlss_solve(A, W, x, m.tolerances)
+    W = m.matrices["W"]
+    A, weight, x = _check_wls_dims(m.matrices["A"], W, m.tolerances, m.matrices["x"].ravel())
+    u = wlss_solve(A, weight, x, m.tolerances)
     r = A @ u - x
     return ResultReport(
         exists=True,
-        min_value=float(np.linalg.norm(psd_sqrt(W, m.tolerances) @ r)),
+        min_value=float(np.linalg.norm(psd_sqrt(weight) @ r)),
         witness=u.reshape(-1, 1),
         residuals={"normal_equation": float(np.linalg.norm(A.conj().T @ W @ r))},
         diagnostics={"rank_a": matrix_rank(A, m.tolerances)},
@@ -224,15 +220,13 @@ def _build_wls(m) -> ResultReport:
 
 
 def _build_w_inverse(m) -> ResultReport:
-    A, W = _check_wls_dims(m.matrices["A"], m.matrices["W"])
-    # validated before the solve: a non-PSD W can read as nonexistence
-    ensure_psd_weight(W, m.tolerances)
-    G = w_inverse(A, W, m.tolerances)
+    A, weight = _check_wls_dims(m.matrices["A"], m.matrices["W"], m.tolerances)
+    _, G, R, solvable = _weighted_inverse(A, weight, m.tolerances)
     return ResultReport(
-        exists=G is not None,
-        witness=G,
-        residuals=_weighted_inverse_residual(A, W, G),
-        conditions={"normal_eq_solvable": G is not None},
+        exists=solvable,
+        witness=G if solvable else None,
+        residuals={"normal_equation": float(np.linalg.norm(R))} if solvable else {},
+        conditions={"normal_eq_solvable": solvable},
         diagnostics={"rank_a": matrix_rank(A, m.tolerances)},
     )
 

@@ -410,9 +410,9 @@ def test_console_entry_point_runs(tmp_path):
 def test_batch_continues_past_numerical_failure(tmp_path, capsys):
     batch = tmp_path / "jobs"
     batch.mkdir()
-    # A* W A overflows to infinity inside the solver
+    # the solution u = 1e600 overflows to infinity inside the solver
     _write_manifest(batch, "a_big.json", {"problem": "wls"},
-                    {"A": [[1e200], [1.0]], "W": np.eye(2), "x": _col([1.0, 0.0])})
+                    {"A": [[1e-300], [0.0]], "W": np.eye(2), "x": _col([1e300, 0.0])})
     _write_manifest(batch, "b_ok.json", {"problem": "smoothing"},
                     {"T": [[1.0]], "V": [[2.0]], "f0": [[1.0]]})
     outdir = tmp_path / "reports"

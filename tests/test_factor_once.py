@@ -31,12 +31,10 @@ from opapprox import (
     wlss_solve,
 )
 from opapprox.cli import execute
-from opapprox.linalg import factor, range_basis
+from opapprox.linalg import factor, normal_bound, psd_sqrt, range_basis
 from opapprox.manifest import ProblemManifest
 from opapprox.problems import REGISTRY
 from opapprox.spline import _spline_columns
-
-RTOL = DEFAULT_TOL.residual_rtol
 
 
 def _instances(n, deficient, seed=0):
@@ -119,16 +117,17 @@ CALLS = {
     "op_spline": lambda A, W, T, V, blocks: operator_spline_min(T, V, V @ T, 1.5),
 }
 
-# the distinct weights each call decomposes, one eigendecomposition each
+# the distinct weights each call decomposes, one eigendecomposition each;
+# T*T is never formed, and a shorted weight is read through a root
 WEIGHTS = {
-    "wls": 1,  # W
-    "wls_p": 2,  # W and W shorted to R(A)
-    "owls": 2,  # the same two
-    "smoothing": 1,  # T*T; the optimal inverse of V reads the smoothing Gram's solve
-    "spline": 2,  # T*T and T*T shorted to N(V)
-    "op_spline": 2,  # the same two
-    "tv_report": 2,  # the same two, shared by both chains
-    "hat": 0,  # the block weight is validated when it is built
+    "wls": 1,  # W, whose root W^{1/2} A is factored
+    "wls_p": 1,  # W; W shorted to R(A) is read off the factorization of W^{1/2} A
+    "owls": 1,  # the same
+    "smoothing": 0,  # the stack [T; V] is factored instead of T*T + V*V
+    "spline": 0,  # T*T shorted to N(V) is read off the factorization of T N
+    "op_spline": 0,  # the same
+    "tv_report": 0,  # the same, shared by both chains
+    "hat": 0,  # the block weight is decomposed when it is built
 }
 
 
@@ -147,16 +146,14 @@ def test_one_eigendecomposition_per_distinct_weight(eig_calls, report, deficient
 # S^{perp_W}, which none of these instances does).  A subspace complement
 # is read off the factorization that gave the subspace, never re-derived.
 SVDS = {
-    "wls": 4,  # A* W A, A, and the certificate of (W, R(A))
-    "wls_p": 6,  # those, the a-block of W shorted to R(A), the achieved norm
-    "owls": 4,  # A* W A, A, the a-block, the achieved norm
-    "smoothing": 4,  # V, the certificate of (T*T, N(V)), T*T + V*V
-    # V, the certificate, T N, the a-block of T*T shorted to N(V) and the
-    # two p-norms
-    "spline": 7,
-    "op_spline": 5,  # V, T N, the a-block, two norms
-    "tv_report": 8,  # the spline report's seven and T*T + V*V
-    "hat": 1,  # the lifted Gram, for the optimal inverse, companion and lift
+    "wls": 4,  # W^{1/2} A, A, and the certificate of (W, R(A))
+    "wls_p": 6,  # those and the two p-norms: the projected root and the achieved norm
+    "owls": 4,  # W^{1/2} A, A, the two p-norms
+    "smoothing": 4,  # V, the certificate of (T*T, N(V)), the stack [T; V]
+    "spline": 6,  # V, the certificate, T N and the two p-norms
+    "op_spline": 4,  # V, T N, the two p-norms
+    "tv_report": 7,  # the spline report's six and the stack [T; V]
+    "hat": 1,  # the lifted root, for the optimal inverse, companion and lift
 }
 
 
@@ -225,7 +222,7 @@ def test_is_compatible_makes_one_svd_of_the_stacked_bases(monkeypatch, overlap):
 @pytest.mark.parametrize("deficient", [False, True], ids=["full_rank", "rank_deficient"])
 def test_tv_report_decides_compatibility_once(monkeypatch, deficient):
     # the module: the package attribute opapprox.shorted is the function
-    calls = _count_calls(monkeypatch, sys.modules["opapprox.shorted"], "is_compatible", [0])
+    calls = _count_calls(monkeypatch, sys.modules["opapprox.shorted"], "_certificate", [0])
     for n in (8, 32):
         matrices = _role_matrices(n, deficient)
         calls[0] = 0
@@ -274,8 +271,9 @@ def test_registry_row_factorization_count_does_not_grow_with_n(svd_calls, row, d
 
 
 # numpy SVDs per manifest with p = 1.5, those of the library call the row
-# runs: the closed-form minimum is read off the eigenvalues of W shorted to
-# R(A), not off an SVD of its square root
+# runs: the closed-form minimum is the p-norm of the root (I - P) W^{1/2}
+# of W shorted to R(A), with P read off the factorization of W^{1/2} A, so
+# the shorted weight itself is never formed or decomposed
 SVDS_WITH_P = {"owls:A,W": SVDS["owls"], "report:A,W": SVDS["wls_p"]}
 
 
@@ -324,14 +322,16 @@ def test_wls_report_columns_match_wlss_solve(deficient, seed):
     A, W, *_ = _instances(12, deficient, seed)
     rep = wls_existence_report(A, W)
     eye = np.eye(A.shape[0], dtype=complex)
-    scale = np.linalg.norm(A) * np.linalg.norm(W)
+    # each column is judged by the rule of the whole solve on the root W^{1/2} A
+    root = psd_sqrt(W)
+    bound = normal_bound(root @ A, rep.witness, root)
     residuals = []
     for i in range(A.shape[0]):
         u = wlss_solve(A, W, eye[:, i])
         # column i of the weighted inverse is the solve for e_i
         assert _rel(rep.witness[:, i], u) <= 1e-12
         residuals.append(np.linalg.norm(A.conj().T @ W @ (A @ u - eye[:, i])))
-    assert rep.conditions["wlss_for_all_x"] == all(r <= RTOL * scale for r in residuals)
+    assert rep.conditions["wlss_for_all_x"] == all(r <= bound for r in residuals)
 
 
 @pytest.mark.parametrize("deficient", [False, True], ids=["full_rank", "rank_deficient"])
@@ -349,14 +349,15 @@ def test_wls_report_certificate_is_is_compatible(deficient, seed):
 def test_smoothing_report_columns_match_smoothing_solve(deficient, seed):
     _, _, T, V, _ = _instances(12, deficient, seed)
     rep = smoothing_equivalence_report(T, V, samples=5)
-    gram = T.conj().T @ T + V.conj().T @ V
-    scale = max(np.linalg.norm(gram), 1.0) * max(np.linalg.norm(V), 1.0)
     eye = np.eye(V.shape[0], dtype=complex)
+    # the root of T*T + V*V is the stack [T; V], and the basis is [0; I]
+    basis = np.vstack([np.zeros((T.shape[0], V.shape[0])), eye])
+    bound = normal_bound(np.vstack([T, V]), rep.witness, basis)
     sols = [smoothing_solve(T, V, eye[:, i]) for i in range(V.shape[0])]
     for i, sol in enumerate(sols):
         assert _rel(rep.witness[:, i], sol.witness[:, 0]) <= 1e-12
     assert rep.conditions["pointwise_solvable"] == all(
-        s.residuals["normal_equation"] <= RTOL * scale for s in sols
+        s.residuals["normal_equation"] <= bound for s in sols
     )
 
 
@@ -369,13 +370,16 @@ def test_spline_report_columns_match_single_vector_checks(deficient, seed):
     eye = np.eye(n, dtype=complex)
 
     fv = factor(V)
-    anchors, _ = _spline_columns(T, fv, fv.lstsq(V)[0], DEFAULT_TOL)
+    H0 = fv.lstsq(V)[0]
+    anchors = _spline_columns(T, fv, H0, DEFAULT_TOL)[0]
     sols = [spline_solve(T, V, V @ eye[:, i]) for i in range(n)]
     for i, sol in enumerate(sols):
         assert _rel(anchors[:, i], sol.witness[:, 0]) <= 1e-12
-    scale = max(np.linalg.norm(T) ** 2, 1.0)
+    # the correction N C of the anchors is the least-squares solve on T N
+    N = fv.null().basis
+    bound = normal_bound(T @ N, N.conj().T @ (anchors - H0), T @ H0)
     assert rep.conditions["spline_pointwise_nonempty"] == all(
-        s.residuals["normal_equation"] <= RTOL * scale for s in sols
+        s.residuals["normal_equation"] <= bound for s in sols
     )
 
     G = global_spline_solution(T, V)

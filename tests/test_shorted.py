@@ -10,7 +10,7 @@ from opapprox import (
     trivial_subspace,
     w_orthogonal_complement,
 )
-from opapprox.linalg import orthogonal_complement, psd_sqrt, psd_weight
+from opapprox.linalg import hermitize, orthogonal_complement, psd_weight
 from opapprox.oracles import shorted_variational
 from opapprox.shorted import _shorted
 
@@ -146,17 +146,18 @@ def test_compat_random_certificates():
 
 
 def test_shorted_weight_is_its_own_decomposition():
-    # the PsdWeight of W shorted to S holds the shorted matrix itself, and
-    # its root equals the root of a fresh decomposition of that matrix
+    # the root K that _shorted builds from W^{1/2} factors the shorted
+    # weight, K* K = shorted(W, S), so its singular values are the square
+    # roots of the shorted weight's eigenvalues and its rank is its rank
     rng = np.random.default_rng(9)
     for _ in range(30):
         w, s = _random_pair(rng)
         weight = psd_weight(w)
-        sigma = _shorted(weight, s, orthogonal_complement(s), weight.tol)
-        assert np.array_equal(sigma.matrix, shorted(w, s))
+        K = _shorted(weight.sqrt, s, orthogonal_complement(s), weight.tol)
+        sigma = shorted(w, s)
+        assert np.array_equal(hermitize(K.conj().T @ K), sigma)
         scale = max(np.linalg.norm(w), 1e-300)
-        decomposed = (sigma.vectors * sigma.eigvals) @ sigma.vectors.conj().T
-        assert np.linalg.norm(decomposed - sigma.matrix) <= 1e-12 * scale
-        root = psd_sqrt(sigma.matrix)
-        assert np.linalg.norm(sigma.sqrt - root) <= 1e-10 * max(np.linalg.norm(root), 1e-300)
-        assert sigma.rank == matrix_rank(sigma.matrix)
+        eig = np.sort(np.clip(np.linalg.eigvalsh(sigma), 0.0, None))[::-1][: min(K.shape)]
+        sv = np.linalg.svd(K, compute_uv=False)
+        assert np.linalg.norm(sv**2 - eig) <= 1e-10 * scale
+        assert matrix_rank(K) == matrix_rank(sigma)
