@@ -2,12 +2,12 @@
 problem registry, and emit a machine-readable report.
 
 Exit codes: 0 solved, 2 well-posed nonexistence, 3 equivalence violation,
-64 parse error (also a negative ``--seed`` or an unwritable ``--out``),
-65 dimension error, 70 numerical failure (a ValueError, LinAlgError or
-floating-point overflow, invalid operation or division by zero while
-solving or rendering).  Exit codes 3 and 70 write a JSON
-error payload in place of the report.  Logging verbosity comes from the
-OPAPPROX_LOG environment variable (error, info, or debug).
+64 parse error (also an unwritable ``--out``), 65 dimension error, 70
+numerical failure (a ValueError, LinAlgError or floating-point overflow,
+invalid operation or division by zero while solving or rendering).  Exit
+codes 3 and 70 write a JSON error payload in place of the report.
+Logging verbosity comes from the OPAPPROX_LOG environment variable
+(error, info, or debug).
 """
 
 from __future__ import annotations
@@ -80,7 +80,6 @@ def _build_parser() -> _Parser:
     parser.add_argument("manifest", nargs="?", help="path to a manifest JSON file")
     parser.add_argument("--tol-rank", type=float, help="override rank_rtol")
     parser.add_argument("--tol-res", type=float, help="override residual_rtol")
-    parser.add_argument("--seed", type=int, help="override the manifest seed")
     parser.add_argument("--batch", metavar="DIR", help="run every *.json manifest in DIR")
     parser.add_argument("--out", metavar="PATH", help="report file (single) or directory (batch)")
     return parser
@@ -96,8 +95,7 @@ def _apply_overrides(manifest: ProblemManifest, args) -> ProblemManifest:
             )
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
-    seed = args.seed if args.seed is not None else manifest.seed
-    return dataclasses.replace(manifest, tolerances=tol, seed=seed)
+    return dataclasses.replace(manifest, tolerances=tol)
 
 
 def _configure_logging() -> None:
@@ -160,8 +158,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if bool(args.batch) == bool(args.manifest):
             raise ParseError("provide exactly one of a manifest path or --batch DIR")
-        if args.seed is not None and args.seed < 0:
-            raise ParseError("--seed must be a non-negative integer")
     except ParseError as exc:
         print(f"opapprox: {exc}", file=sys.stderr)
         return EXIT_PARSE

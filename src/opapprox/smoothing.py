@@ -27,6 +27,7 @@ from .linalg import (
     as_matrix,
     as_vector,
     factor,
+    hermitize,
     normal_bound,
     psd_weight,
 )
@@ -222,25 +223,24 @@ def hat_equivalence_check(A, W: BlockWeight, tol: Tolerances = DEFAULT_TOL) -> R
     )
 
 
-def smoothing_equivalence_report(
-    T, V, tol: Tolerances = DEFAULT_TOL, rng=None, samples: int = 100
-) -> ResultReport:
+def smoothing_equivalence_report(T, V, tol: Tolerances = DEFAULT_TOL) -> ResultReport:
     """Evaluate the equivalent smoothing-existence conditions.
 
     Flags: range inclusion R(V*) in R(T*T + V*V); pointwise solvability on
     the standard basis; existence of the (I, 0, T*T)-block optimal inverse
-    of V; sampled global dominance of G = (T*T + V*V)^+ V*; compatibility
-    of (T*T, N(V)).  All must agree or EquivalenceViolation is raised.
+    of V; global dominance of G = (T*T + V*V)^+ V*; compatibility of
+    (T*T, N(V)).  All must agree or EquivalenceViolation is raised.
 
-    The range inclusion, the pointwise solves, the optimal inverse, G and
-    the ``rank_gram`` diagnostic all concern T*T + V*V, whose root is the
-    stack [T; V], and share one factorization of the stack.  The pointwise
-    solves are one normal solve of the standard basis [0; I], each column
-    judged by ``normal_bound``, and their columns are G.  That solve as a
-    whole is the optimal inverse's normal equation (its lifted Gram is
-    T*T + V*V and its right side V*).  The range inclusion is read off the
-    same SVD: R(V*) lies in R([T; V]*) iff V vanishes on N([T; V]).
-    Dominance is sampled, and compatibility is decided on N(V).
+    The range inclusion, the pointwise solves, the optimal inverse, G, the
+    dominance form and the ``rank_gram`` diagnostic all concern
+    T*T + V*V, whose root is the stack [T; V], and share one factorization
+    of the stack.  The pointwise solves are one normal solve of the
+    standard basis [0; I], each column judged by ``normal_bound``, and
+    their columns are G.  That solve as a whole is the optimal inverse's
+    normal equation (its lifted Gram is T*T + V*V and its right side V*).
+    The range inclusion is read off the same SVD: R(V*) lies in
+    R([T; V]*) iff V vanishes on N([T; V]).  Dominance is decided exactly
+    (see ``_dominance``), and compatibility is decided on N(V).
 
     The report is the one the CLI renders for the smoothing chain: when a
     solution exists, its witness is G with the Frobenius norm of the
@@ -248,10 +248,10 @@ def smoothing_equivalence_report(
     """
     T, V = _check_tv_dims(T, V)
     compat = _tt_compatibility(T, factor(V, tol), tol)
-    return _smoothing_equivalence(T, V, compat, tol, rng, samples)
+    return _smoothing_equivalence(T, V, compat, tol)
 
 
-def tv_report(T, V, tol: Tolerances = DEFAULT_TOL, rng=None) -> ResultReport:
+def tv_report(T, V, tol: Tolerances = DEFAULT_TOL) -> ResultReport:
     """The (T,V) existence report: the smoothing and the spline conditions
     of one pair, as the CLI renders it.
 
@@ -259,13 +259,12 @@ def tv_report(T, V, tol: Tolerances = DEFAULT_TOL, rng=None) -> ResultReport:
     flags, the witness, residuals and diagnostics are the smoothing
     report's, and the pair exists when both chains say so.  Both chains
     read N(V) off one factorization of V and share one certificate of
-    (T*T, N(V)).  ``rng`` drives the sampled dominance check, as in
-    ``smoothing_equivalence_report``.
+    (T*T, N(V)).
     """
     T, V = _check_tv_dims(T, V)
     fv = factor(V, tol)
     compat = _tt_compatibility(T, fv, tol)
-    smooth = _smoothing_equivalence(T, V, compat, tol, rng)
+    smooth = _smoothing_equivalence(T, V, compat, tol)
     spline = _spline_equivalence(T, fv, compat, tol)
     conditions = {f"smoothing_{k}": v for k, v in smooth.conditions.items()}
     conditions.update(spline.conditions)
@@ -278,13 +277,9 @@ def tv_report(T, V, tol: Tolerances = DEFAULT_TOL, rng=None) -> ResultReport:
     )
 
 
-def _smoothing_equivalence(
-    T, V, compat: CompatCertificate, tol: Tolerances, rng, samples: int = 100
-) -> ResultReport:
+def _smoothing_equivalence(T, V, compat: CompatCertificate, tol: Tolerances) -> ResultReport:
     """``smoothing_equivalence_report`` with the certificate of (T*T, N(V))
     already decided."""
-    if rng is None:
-        rng = np.random.default_rng(0)
     stack = factor(np.vstack([T, V]), tol)
     # column i of G solves the smoothing problem for f0 = e_i, and column i
     # of R is its normal-equation residual; the solve as a whole is the
@@ -300,13 +295,13 @@ def _smoothing_equivalence(
     outside = np.linalg.norm(V @ stack.null().basis)
     range_ok = bool(outside <= tol.residual_rtol * np.linalg.norm(V))
 
-    dominance_ok, worst_gap = _dominance(T, V, G, rng, samples)
+    dominance_ok, gap = _dominance(T, V, G, stack, E)
 
     conditions = {
         "range_inclusion": range_ok,
         "pointwise_solvable": bool(pointwise_ok),
         "optimal_inverse_exists": optimal_ok,
-        "global_dominance": bool(dominance_ok),
+        "global_dominance": dominance_ok,
         "compatible": bool(compat.compatible),
     }
     if len(set(conditions.values())) != 1:
@@ -318,7 +313,7 @@ def _smoothing_equivalence(
     diagnostics = {
         "rank_gram": stack.rank,
         "max_basis_residual": max(basis_residuals) if basis_residuals else 0.0,
-        "worst_dominance_gap": worst_gap,
+        "worst_dominance_gap": gap,
     }
     return ResultReport(
         exists=exists,
@@ -329,26 +324,30 @@ def _smoothing_equivalence(
     )
 
 
-def _dominance(T, V, G, rng, samples: int):
-    """Sampled global dominance of G: for random pairs (f, h), the smoothing
-    objective for f at G f exceeds the one at h by at most 1e-10 times
-    max(objective at h, 1).  Returns (flag, largest gap, at least 0).
+def _dominance(T, V, G, stack: Factorization, E) -> tuple[bool, float]:
+    """Exact global dominance of G: J(f, G f) = min_h J(f, h) for every f,
+    where J(f, h) = ||T h||^2 + ||V h - f||^2.  ``stack`` is the
+    factorization of M = [T; V] and E = [0; I].  Returns (flag, gap).
 
-    All samples are one draw: row k holds sample k's f and h, real parts
-    before imaginary ones, which is the stream a per-sample loop draws.
+    J(f, G f) = f* F_G f with F_G = (T G)*(T G) + (V G - I)*(V G - I),
+    formed from T, V and G directly, and min_h J(f, h) = f* F* f with
+    F* = K*K for K = U_perp* E, the part of E outside R(M), read off the
+    stack's SVD.  So G dominates iff the gap lambda_max(F_G - F*) is 0; it
+    equals lambda_max(dG* M*M dG) for the error dG of G, so it is second
+    order in that error, and rounding can leave it slightly negative.  The
+    flag accepts gap <= residual_rtol (1 + ||M||_F ||G||_F): the 1 is the
+    scale of the form (F* <= I, since J(f, 0) = ||f||^2) and the product is
+    the rounding scale of forming T G and V G.
     """
-    f_dim, n = V.shape
-    draws = rng.standard_normal((samples, 2 * f_dim + 2 * n))
-    F = (draws[:, :f_dim] + 1j * draws[:, f_dim : 2 * f_dim]).T
-    H = (draws[:, 2 * f_dim : 2 * f_dim + n] + 1j * draws[:, 2 * f_dim + n :]).T
-    GF = G @ F
-
-    def objective(X):
-        return np.linalg.norm(T @ X, axis=0) ** 2 + np.linalg.norm(V @ X - F, axis=0) ** 2
-
-    other = objective(H)
-    gap = objective(GF) - other
-    return not np.any(gap > 1e-10 * np.maximum(other, 1.0)), float(np.max(gap, initial=0.0))
+    if not V.shape[0]:
+        return True, 0.0
+    TG = T @ G
+    D = V @ G - np.eye(V.shape[0])
+    K = stack.off_range(E)
+    form = TG.conj().T @ TG + D.conj().T @ D - K.conj().T @ K
+    gap = float(np.linalg.eigvalsh(hermitize(form))[-1])
+    scale = 1.0 + np.linalg.norm(stack.matrix) * np.linalg.norm(G)
+    return bool(gap <= stack.tol.residual_rtol * scale), gap
 
 
 # Registry builders (see problems.REGISTRY): a validated manifest -> ResultReport
@@ -366,7 +365,7 @@ def _build_opt_inverse(m) -> ResultReport:
 
 
 def _build_tv_report(m) -> ResultReport:
-    return tv_report(m.matrices["T"], m.matrices["V"], m.tolerances, np.random.default_rng(m.seed))
+    return tv_report(m.matrices["T"], m.matrices["V"], m.tolerances)
 
 
 def _build_hat_report(m) -> ResultReport:

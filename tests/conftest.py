@@ -36,3 +36,22 @@ def random_rank_deficient(rng, rows, cols, rank):
     if rank == 0:
         return np.zeros((rows, cols), dtype=complex)
     return cgauss(rng, rows, rank) @ cgauss(rng, rank, cols)
+
+
+def perturb_stack_solve(monkeypatch, stack_shape, rel=1e-3):
+    """Make ``Factorization.normal`` on a matrix of ``stack_shape`` return its
+    solution moved by ``rel`` of its Frobenius norm in a seeded random
+    direction, with the residual and the solvability decision it computed
+    for the exact solution."""
+    from opapprox.linalg import Factorization
+
+    normal = Factorization.normal
+
+    def perturbed(self, B):
+        C, R, solvable = normal(self, B)
+        if self.matrix.shape == stack_shape:
+            Z = cgauss(np.random.default_rng(0), *C.shape)
+            C = C + rel * np.linalg.norm(C) / np.linalg.norm(Z) * Z
+        return C, R, solvable
+
+    monkeypatch.setattr(Factorization, "normal", perturbed)

@@ -90,7 +90,7 @@ def eig_calls(monkeypatch):
 REPORTS = {
     "wls": lambda A, W, T, V, blocks: wls_existence_report(A, W),
     "wls_p": lambda A, W, T, V, blocks: wls_existence_report(A, W, p=1.5),
-    "smoothing": lambda A, W, T, V, blocks: smoothing_equivalence_report(T, V, samples=5),
+    "smoothing": lambda A, W, T, V, blocks: smoothing_equivalence_report(T, V),
     "spline": lambda A, W, T, V, blocks: spline_equivalence_report(T, V),
     "hat": lambda A, W, T, V, blocks: hat_equivalence_check(A, blocks),
 }
@@ -118,15 +118,17 @@ CALLS = {
 }
 
 # the distinct weights each call decomposes, one eigendecomposition each;
-# T*T is never formed, and a shorted weight is read through a root
+# T*T is never formed, and a shorted weight is read through a root.  The
+# smoothing chain adds one eigvalsh that decomposes no weight: the largest
+# eigenvalue of its m x m dominance form
 WEIGHTS = {
     "wls": 1,  # W, whose root W^{1/2} A is factored
     "wls_p": 1,  # W; W shorted to R(A) is read off the factorization of W^{1/2} A
     "owls": 1,  # the same
-    "smoothing": 0,  # the stack [T; V] is factored instead of T*T + V*V
+    "smoothing": 1,  # the dominance form; the stack [T; V] is factored, not T*T + V*V
     "spline": 0,  # T*T shorted to N(V) is read off the factorization of T N
     "op_spline": 0,  # the same
-    "tv_report": 0,  # the same, shared by both chains
+    "tv_report": 1,  # the smoothing chain's dominance form; T*T shorted as in spline
     "hat": 0,  # the block weight is decomposed when it is built
 }
 
@@ -348,7 +350,7 @@ def test_wls_report_certificate_is_is_compatible(deficient, seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_smoothing_report_columns_match_smoothing_solve(deficient, seed):
     _, _, T, V, _ = _instances(12, deficient, seed)
-    rep = smoothing_equivalence_report(T, V, samples=5)
+    rep = smoothing_equivalence_report(T, V)
     eye = np.eye(V.shape[0], dtype=complex)
     # the root of T*T + V*V is the stack [T; V], and the basis is [0; I]
     basis = np.vstack([np.zeros((T.shape[0], V.shape[0])), eye])

@@ -194,12 +194,12 @@ def test_main_calls_share_no_arguments(tmp_path, monkeypatch):
     monkeypatch.setattr(opapprox.cli, "execute", spy)
     path = _wls_manifest(tmp_path)
     first, second = tmp_path / "first.json", tmp_path / "second.json"
-    assert main([path, "--seed", "5", "--tol-rank", "1e-6", "--out", str(first)]) == 0
+    assert main([path, "--tol-rank", "1e-6", "--tol-res", "1e-9", "--out", str(first)]) == 0
     assert main([path, "--out", str(second)]) == 0
-    assert [m.seed for m in executed] == [5, 1]
-    assert [m.tolerances.rank_rtol for m in executed] == [1e-6, DEFAULT_TOL.rank_rtol]
-    assert json.loads(first.read_text())["diagnostics"]["seed"] == 5
-    assert json.loads(second.read_text())["diagnostics"]["seed"] == 1
+    assert [(m.tolerances.rank_rtol, m.tolerances.residual_rtol) for m in executed] == [
+        (1e-6, 1e-9),
+        (DEFAULT_TOL.rank_rtol, DEFAULT_TOL.residual_rtol),
+    ]
 
 
 def test_second_main_call_builds_no_parser(tmp_path, monkeypatch):
@@ -222,7 +222,7 @@ def test_usage_error_after_a_successful_call_exits_64(tmp_path, capsys):
     path = _wls_manifest(tmp_path)
     out = str(tmp_path / "report.json")
     assert main([path, "--out", out]) == 0
-    assert main([path, "--seed", "five"]) == 64
+    assert main([path, "--tol-rank", "five"]) == 64
     assert main([]) == 64
     assert main([path, "--out", out]) == 0
     assert capsys.readouterr().err.count("opapprox: ") == 2

@@ -6,7 +6,8 @@ and exit code unchanged, and its value moves by the right power of c:
 problem (scaling A changes only the minimizer), and ||c T X|| = c ||T X||
 for the operator spline problem (cV X = cB0 has the solutions of
 V X = B0).  A closed-form value cross-check is relative at every c: an
-achieved norm that is off by a factor of 1 + 1e-3 is refused.
+achieved norm that is off by a factor of 1 + 1e-3 is refused, and so is a
+smoothing operator G that is off by 1e-3 of its norm.
 """
 
 import json
@@ -16,8 +17,8 @@ import pytest
 
 import opapprox.spline
 import opapprox.wls
-from conftest import cgauss, random_psd, random_rank_deficient
-from opapprox import EquivalenceViolation, operator_spline_min, owls_min
+from conftest import cgauss, perturb_stack_solve, random_psd, random_rank_deficient
+from opapprox import EquivalenceViolation, operator_spline_min, owls_min, tv_report
 from opapprox.cli import main
 from opapprox.manifest import write_matrix
 
@@ -117,3 +118,14 @@ def test_a_sabotaged_achieved_norm_is_refused_at_every_scale(monkeypatch, c, def
                         _scaled_result(opapprox.spline._spline_columns, index=0))
     with pytest.raises(EquivalenceViolation):
         operator_spline_min(c * m["T"], c * m["V"], c * m["B0"], P)
+
+
+@pytest.mark.parametrize("deficient", [False, True], ids=["full_rank", "rank_deficient"])
+@pytest.mark.parametrize("c", SCALES)
+def test_a_perturbed_smoothing_operator_is_refused_at_every_scale(monkeypatch, c, deficient):
+    m = _instance(deficient)
+    T, V = c * m["T"], c * m["V"]
+    assert tv_report(T, V).exists
+    perturb_stack_solve(monkeypatch, (T.shape[0] + V.shape[0], T.shape[1]))
+    with pytest.raises(EquivalenceViolation):
+        tv_report(T, V)

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import cgauss, random_psd, random_rank_deficient
+from conftest import cgauss, perturb_stack_solve, random_psd, random_rank_deficient
 from opapprox import (
     BlockWeight,
+    EquivalenceViolation,
     NotPsd,
     frechet_gp,
     hat_equivalence_check,
@@ -14,11 +17,12 @@ from opapprox import (
     pinv,
     smoothing_equivalence_report,
     smoothing_solve,
+    tv_report,
     wlss_solve,
 )
 from opapprox.oracles import quadratic_min_over_affine, sampled_dominance
-from opapprox.linalg import full_subspace
-from opapprox.smoothing import _dominance
+from opapprox.linalg import factor, full_subspace
+from opapprox.smoothing import _data, _dominance
 
 
 def test_smoothing_scalar_instances():
@@ -209,7 +213,7 @@ def test_smoothing_report_random_instances():
         v = cgauss(rng, int(rng.integers(1, 6)), n)
         if rng.uniform() < 0.3:
             t = random_rank_deficient(rng, t.shape[0], n, int(rng.integers(0, min(t.shape) + 1)))
-        report = smoothing_equivalence_report(t, v, rng=np.random.default_rng(99))
+        report = smoothing_equivalence_report(t, v)
         assert len(set(report.conditions.values())) == 1
         assert report.exists
         gram = t.conj().T @ t + v.conj().T @ v
@@ -259,48 +263,83 @@ def test_stationarity_of_operator_smoothing_minimizer():
             assert abs(derivative) <= 1e-8 * scale * max(np.linalg.norm(y), 1.0)
 
 
-def _dominance_loop(T, V, G, rng, samples):
-    """The per-sample reference for the batched dominance check."""
-    f_dim, n = V.shape
-    ok, worst = True, 0.0
-    for _ in range(samples):
-        f = rng.standard_normal(f_dim) + 1j * rng.standard_normal(f_dim)
-        h = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        gf = G @ f
-        best = np.linalg.norm(T @ gf) ** 2 + np.linalg.norm(V @ gf - f) ** 2
-        other = np.linalg.norm(T @ h) ** 2 + np.linalg.norm(V @ h - f) ** 2
-        worst = max(worst, best - other)
-        if best - other > 1e-10 * max(other, 1.0):
-            ok = False
-    return ok, worst
+def _seeded_pair(seed, max_dim):
+    """A seeded (T, V) with V of at least one row; T is rank-deficient for
+    odd seeds."""
+    rng = np.random.default_rng([21, seed])
+    n = int(rng.integers(2, max_dim + 1))
+    f_dim = int(rng.integers(1, n + 1))
+    T = random_rank_deficient(rng, n, n, n - 1) if seed % 2 else cgauss(rng, n, n)
+    return T, cgauss(rng, f_dim, n)
+
+
+def _stack_solution(T, V):
+    """The factorization of [T; V], the data E = [0; I] and G = [T; V]^+ E."""
+    stack = factor(np.vstack([T, V]))
+    E = _data(T, np.eye(V.shape[0], dtype=complex))
+    return stack, E, stack.normal(E)[0]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**31 - 1))
+def test_dominance_accepts_the_solution_and_refuses_a_perturbed_one(seed):
+    T, V = _seeded_pair(seed, 12)
+    stack, E, G = _stack_solution(T, V)
+    ok, gap = _dominance(T, V, G, stack, E)
+    assert ok, gap
+    dG = cgauss(np.random.default_rng(seed), *G.shape)
+    ok, gap = _dominance(T, V, G + 1e-3 * np.linalg.norm(G) / np.linalg.norm(dG) * dG, stack, E)
+    assert not ok and gap > 0.0
 
 
 @pytest.mark.parametrize("perturbed", [False, True], ids=["optimal", "perturbed"])
 @pytest.mark.parametrize("seed", range(4))
-def test_batched_dominance_matches_per_sample_loop(seed, perturbed):
-    rng = np.random.default_rng([21, seed])
-    n = int(rng.integers(2, 9))
-    f_dim = int(rng.integers(1, n + 1))
-    T = random_rank_deficient(rng, n, n, n - 1) if seed % 2 else cgauss(rng, n, n)
-    V = cgauss(rng, f_dim, n)
-    G = pinv(T.conj().T @ T + V.conj().T @ V) @ V.conj().T
+def test_exact_dominance_agrees_with_the_sampled_oracle(seed, perturbed):
+    T, V = _seeded_pair(seed, 8)
+    n, f_dim = T.shape[1], V.shape[0]
+    stack, E, G = _stack_solution(T, V)
     if perturbed:
-        # a visibly wrong G: some sampled h beats G f, so dominance fails
-        G = G + 0.5 * cgauss(rng, n, f_dim)
-    want = _dominance_loop(T, V, G, np.random.default_rng(seed), 100)
-    got = _dominance(T, V, G, np.random.default_rng(seed), 100)
-    assert got[0] == want[0] == (not perturbed)
-    # the batch sums in another order: the gaps agree to round-off of the
-    # objectives, which are O(n) here
-    assert got[1] == pytest.approx(want[1], rel=1e-12, abs=1e-13 * n)
-    if perturbed:
-        assert got[1] > 0.0
+        # a visibly wrong G, which random competitors h beat
+        G = G + 0.5 * cgauss(np.random.default_rng(seed), n, f_dim)
+    gen = np.random.default_rng(seed)
+    sampled = []
+    for _ in range(5):
+        f = cgauss(gen, f_dim, 1).ravel()
+        gf = G @ f
+        candidate = float(np.linalg.norm(T @ gf) ** 2 + np.linalg.norm(V @ gf - f) ** 2)
+
+        def objective(g, f=f):
+            h = cgauss(g, n, 1).ravel()
+            return float(np.linalg.norm(T @ h) ** 2 + np.linalg.norm(V @ h - f) ** 2)
+
+        sampled.append(sampled_dominance(objective, candidate, gen, 100, max(candidate, 1.0)))
+    assert _dominance(T, V, G, stack, E)[0] == all(sampled) == (not perturbed)
 
 
-def test_dominance_without_samples():
-    rng = np.random.default_rng(22)
-    T, V = cgauss(rng, 3, 3), cgauss(rng, 2, 3)
-    assert _dominance(T, V, np.zeros((3, 2)), np.random.default_rng(0), 0) == (True, 0.0)
-    rep = smoothing_equivalence_report(T, V, samples=0)
+def test_dominance_refuses_the_zero_operator():
+    T, V = _seeded_pair(3, 6)
+    stack, E, G = _stack_solution(T, V)
+    ok, gap = _dominance(T, V, np.zeros_like(G), stack, E)
+    # J(f, 0) = ||f||^2 against a minimum below it: the gap is O(1)
+    assert not ok and gap > 0.1
+
+
+def test_dominance_without_rows_of_v():
+    T, V = np.eye(3), np.zeros((0, 3))
+    rep = smoothing_equivalence_report(T, V)
     assert rep.exists
     assert rep.diagnostics["worst_dominance_gap"] == 0.0
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_a_perturbed_solution_is_refused(monkeypatch, seed):
+    T, V = _seeded_pair(seed, 8)
+    assert smoothing_equivalence_report(T, V).exists
+    # the residual stays the exact solve's, so the other flags still hold;
+    # only the dominance form sees the error in G
+    perturb_stack_solve(monkeypatch, (T.shape[0] + V.shape[0], T.shape[1]))
+    with pytest.raises(EquivalenceViolation) as err:
+        smoothing_equivalence_report(T, V)
+    assert err.value.diagnostics["conditions"]["global_dominance"] is False
+    with pytest.raises(EquivalenceViolation):
+        tv_report(T, V)

@@ -124,7 +124,8 @@ def test_interpolation_and_optimality_on_random_instances():
         sol = spline_solve(t, v, f0)
         assert np.linalg.norm(v @ sol.witness[:, 0] - f0) <= 1e-8 * max(np.linalg.norm(f0), 1e-300)
 
-        n = null_basis(v).basis
+        null_v = null_basis(v)
+        n = null_v.basis
         if n.shape[1] == 0:
             continue
         candidate = sol.min_value**2
@@ -135,6 +136,11 @@ def test_interpolation_and_optimality_on_random_instances():
             return float(np.linalg.norm(t @ (h + z)) ** 2)
 
         assert sampled_dominance(objective, candidate, rng, 100, slack_scale=scale)
+        # the exact minimum over h + N(V) agrees with the candidate value
+        oracle_value, _ = quadratic_min_over_affine(
+            np.eye(t.shape[0]), t, -t @ sol.witness[:, 0], null_v
+        )
+        assert candidate == pytest.approx(oracle_value, abs=1e-9 * scale)
 
 
 def test_operator_value_identity_on_random_instances():

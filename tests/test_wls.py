@@ -127,6 +127,9 @@ def test_solution_dominates_sampled_competitors():
             return _wnorm_sq(w, a @ z - x)
 
         assert sampled_dominance(objective, candidate, rng, 100, slack_scale=scale)
+        # the exact minimum over the whole domain agrees with the candidate value
+        oracle_value, _ = quadratic_min_over_affine(w, a, x, full_subspace(a.shape[1]))
+        assert candidate == pytest.approx(oracle_value, abs=1e-9 * scale)
 
 
 def test_minimum_value_identity_on_random_instances():
