@@ -5,9 +5,26 @@ keyed by role, and optional ``p``, ``tolerances``, ``seed``.  Unknown
 fields are rejected rather than ignored; silent typos in numeric
 experiments are costly.  Matrix files use the Matrix Market exchange
 format (dense array or sparse coordinate, real or complex); vectors are
-n-by-1 matrices.  Files are read and written on the calling thread:
-scipy's Matrix Market reader otherwise starts one thread per CPU for every
-file, which nearly doubled the cost of reading a small file and crashed the
+n-by-1 matrices.
+
+A file is read by one of two body parsers, chosen by its header and its
+declared size.  A dense general file (``array real general`` or ``array
+complex general``) holding at most ``SMALL_FILE_NUMBERS`` numbers (rows
+times cols, twice that for a complex field) is parsed here with Python's
+``float``.  Every other file goes to ``scipy.io.mmread``: coordinate files,
+symmetric, skew-symmetric or hermitian storage, integer and pattern
+fields, larger files, and any file whose layout or tokens the small-file
+parser does not accept.  The reason is scipy's fixed cost: its reader
+starts a worker pool on every call, 0.09-0.16 ms even on one thread,
+which is most of the cost of a small file, while parsing with ``float``
+costs less up to about 150 numbers and more beyond (a 128x128 complex
+file takes 10x longer).  The small-file parser
+accepts only tokens that both parsers read to the same double, and it
+returns the array scipy's path returns (C-ordered complex128, -0 read as
++0), so a report does not depend on which parser read its inputs.
+
+scipy's reader and writer run on the calling thread: with one thread per
+CPU, scipy nearly doubled the cost of reading a small file and crashed the
 process (SIGFPE) on a file with zero rows.
 
 Reports serialize with sorted keys and every float printed with 17
@@ -22,6 +39,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -39,6 +57,25 @@ MANIFEST_KEYS = set(ROLES) | {"problem", "p", "tolerances", "seed"}
 
 # witnesses larger than this are written to sibling .mtx files
 MAX_INLINE_DIM = 100
+
+# dense general files with at most this many numbers are parsed in-process:
+# the largest tiny instance (8x8 complex), at or below the crossover with
+# scipy's one-thread reader, measured at 130-160 numbers
+SMALL_FILE_NUMBERS = 128
+
+_HEADER = re.compile(rb"%%MatrixMarket matrix array (real|complex) general\r?\n")
+_SIZE = re.compile(rb"[ \t]*(\d{1,9})[ \t]+(\d{1,9})[ \t]*\r?\n")
+# The body is checked on its skeleton, each number character mapped to "x"
+# and "+" to "p": one entry per line (two for a complex field) and a "+"
+# only inside an entry.  float() then checks each entry's grammar, so an
+# entry is accepted only as -?(\d+(\.\d*)?|\.\d+)([eE][-+]?\d+)?, which
+# both parsers read to the same double.  They disagree on "+1", "1_0",
+# "1d5", "0x10", "inf" and "nan", which the skeleton keeps out.
+_SKELETON = bytes.maketrans(b"0123456789.eE-+", b"xxxxxxxxxxxxxxp")
+_BODY = {
+    b"real": re.compile(rb"(?:x+(?:px+)?\r?\n)*"),
+    b"complex": re.compile(rb"(?:x+(?:px+)? x+(?:px+)?\r?\n)*"),
+}
 
 
 @dataclass(frozen=True)
@@ -64,16 +101,64 @@ def _one_thread():
         _fast_matrix_market.PARALLELISM = saved
 
 
+def _read_small(path: str) -> np.ndarray | None:
+    """A small dense general file as a C-ordered complex matrix, or None
+    when the file is not one or holds anything this parser does not accept;
+    scipy's reader then decides, errors included."""
+    if path.endswith((".gz", ".bz2")):  # scipy decompresses these
+        return None
+    try:
+        fh = open(path, "rb")
+    except (OSError, ValueError):
+        return None
+    with fh:
+        header = _HEADER.fullmatch(fh.readline())
+        if header is None:
+            return None
+        line = fh.readline()
+        while line.startswith(b"%"):
+            line = fh.readline()
+        size = _SIZE.fullmatch(line)
+        if size is None:
+            return None
+        field, rows, cols = header[1], int(size[1]), int(size[2])
+        count = rows * cols * (1 if field == b"real" else 2)
+        if count > SMALL_FILE_NUMBERS:
+            return None
+        body = fh.read()
+    if _BODY[field].fullmatch(body.translate(_SKELETON)) is None:
+        return None
+    tokens = body.decode("ascii").split()
+    if len(tokens) != count:
+        return None
+    try:
+        values = np.fromiter(map(float, tokens), dtype=float, count=count)
+    except ValueError:
+        return None
+    values += 0.0  # -0 to +0, as scipy reads it
+    if field == b"complex":
+        values = values.view(complex)
+    # column-major in the file; scipy's layout, since BLAS rounds by layout
+    return np.ascontiguousarray(values.reshape(cols, rows).T, dtype=complex)
+
+
+def _mmread(path: str) -> np.ndarray:
+    """Any Matrix Market file as a complex matrix, by scipy's reader."""
+    with _one_thread():
+        m = scipy.io.mmread(path)
+    if scipy.sparse.issparse(m):
+        m = m.toarray()
+    return np.asarray(m, dtype=complex)
+
+
 def read_matrix(path: str) -> np.ndarray:
     """Read a Matrix Market file as a dense complex matrix.  A declared size
     too large to hold (MemoryError, or ValueError past numpy's limit) is a
     ParseError like any other unreadable file."""
     try:
-        with _one_thread():
-            m = scipy.io.mmread(path)
-        if scipy.sparse.issparse(m):
-            m = m.toarray()
-        m = np.asarray(m, dtype=complex)
+        m = _read_small(os.fspath(path))
+        if m is None:
+            m = _mmread(path)
     except (OSError, ValueError, MemoryError) as exc:
         raise ParseError(f"cannot read matrix file {path!r}: {exc}") from exc
     if m.ndim != 2:
@@ -104,17 +189,24 @@ def write_matrix(path: str, m: np.ndarray) -> None:
         scipy.io.mmwrite(path, m, precision=17)
 
 
+def _number(value, name: str) -> float:
+    """A JSON number as a float; an integer past the largest double is a
+    ParseError, not an OverflowError."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ParseError(f"{name} must be a number")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ParseError(f"{name} is too large for a double") from exc
+
+
 def _parse_tolerances(raw) -> Tolerances:
     if not isinstance(raw, dict):
         raise ParseError("tolerances must be an object")
     unknown = set(raw) - {"rank_rtol", "residual_rtol"}
     if unknown:
         raise ParseError(f"unknown tolerance fields: {sorted(unknown)}")
-    kwargs = {}
-    for key, value in raw.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ParseError(f"tolerance {key} must be a number")
-        kwargs[key] = float(value)
+    kwargs = {key: _number(value, f"tolerance {key}") for key, value in raw.items()}
     try:
         return Tolerances(**kwargs)
     except ValueError as exc:
@@ -132,7 +224,9 @@ def parse_manifest(path: str) -> ProblemManifest:
             raw = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read manifest {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # also a file that is not UTF-8, an integer past Python's digit
+        # limit, and arrays or objects nested past the recursion limit
         raise ParseError(f"manifest {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError("manifest must be a JSON object")
@@ -147,9 +241,7 @@ def parse_manifest(path: str) -> ProblemManifest:
 
     p = raw.get("p")
     if p is not None:
-        if not isinstance(p, (int, float)) or isinstance(p, bool):
-            raise ParseError("p must be a number")
-        p = float(p)
+        p = _number(p, "p")
         if not np.isfinite(p) or p < 1.0:
             raise ParseError(f"p must be a finite real >= 1, got {p}")
 

@@ -367,6 +367,24 @@ def test_each_failure_writes_one_stderr_line(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("opapprox: dimension error: "), lines
 
 
+MALFORMED_MANIFESTS = {
+    "not_utf8": b'{"problem": "wls\xff"}',
+    "digit_limit": b'{"problem": "owls", "p": ' + b"1" * 5001 + b"}",
+    "p_past_double": json.dumps({"problem": "owls", "p": 10**400}).encode(),
+    "tolerance_past_double": json.dumps({"problem": "wls", "tolerances": {"rank_rtol": 10**400}}).encode(),
+    "nested_past_recursion_limit": b"[" * 100000 + b"]" * 100000,
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_MANIFESTS))
+def test_malformed_manifest_is_one_parse_error_line(tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(MALFORMED_MANIFESTS[name])
+    code, lines = _stderr_lines(str(path))
+    assert code == 64
+    assert len(lines) == 1 and lines[0].startswith("opapprox: parse error: "), lines
+
+
 def test_large_witness_goes_to_sidecar(tmp_path):
     big = np.eye(120, dtype=complex)
     report = ResultReport(problem="shorted", exists=True, witness=big)

@@ -1,6 +1,8 @@
-"""The CLI's fixed cost per manifest: Matrix Market files are read and
-written on the calling thread, the argument parser is built once per
-process, and files with no entries neither crash nor hang the CLI."""
+"""The CLI's fixed cost per manifest: small dense files are parsed
+in-process to the array scipy's reader returns, other Matrix Market files
+are read and written by scipy on the calling thread, the argument parser is
+built once per process, and files with no entries neither crash nor hang
+the CLI."""
 
 import argparse
 import json
@@ -11,12 +13,15 @@ import sys
 import numpy as np
 import pytest
 import scipy.io
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.io import _fast_matrix_market
 
 import opapprox.cli
+import opapprox.manifest
 from opapprox import DEFAULT_TOL, ParseError
 from opapprox.cli import main
-from opapprox.manifest import read_matrix, write_matrix
+from opapprox.manifest import SMALL_FILE_NUMBERS, _mmread, _read_small, read_matrix, write_matrix
 from test_cli import _wls_manifest  # a wls manifest with seed 1
 
 
@@ -124,14 +129,128 @@ def test_reader_and_writer_run_on_one_thread(tmp_path, monkeypatch):
     spy("mmwrite")
     monkeypatch.setattr(_fast_matrix_market, "PARALLELISM", 3)  # the caller's own setting
     path = str(tmp_path / "m.mtx")
-    write_matrix(path, np.eye(2))
-    assert np.array_equal(read_matrix(path), np.eye(2))
+    general = np.array([[1.0, 2.0], [3.0, 4.0]])  # scipy writes np.eye(2) as symmetric
+    write_matrix(path, general)
+    assert np.array_equal(read_matrix(path), general)  # small and general: no mmread
+    assert seen == [("mmwrite", 1)]
+    # one number above the cutoff goes to scipy
+    above = tmp_path / "above.mtx"
+    above.write_text(
+        f"%%MatrixMarket matrix array real general\n{SMALL_FILE_NUMBERS + 1} 1\n"
+        + "1\n" * (SMALL_FILE_NUMBERS + 1)
+    )
+    assert np.array_equal(read_matrix(str(above)), np.ones((SMALL_FILE_NUMBERS + 1, 1)))
     bad = tmp_path / "bad.mtx"
     bad.write_text("not a Matrix Market file\n")
     with pytest.raises(ParseError):
         read_matrix(str(bad))
     assert seen == [("mmwrite", 1), ("mmread", 1), ("mmread", 1)]
     assert _fast_matrix_market.PARALLELISM == 3
+
+
+def _same_array(a, b):
+    """Bit-identical entries (signs of zero included), shape, dtype and layout."""
+    return (
+        a.shape == b.shape
+        and a.dtype == b.dtype == complex
+        and a.flags.c_contiguous == b.flags.c_contiguous
+        and a.tobytes() == b.tobytes()
+    )
+
+
+# zeros of both signs, the smallest and largest subnormals, the smallest
+# normal and the largest finite value, then any finite double
+EDGE_DOUBLES = [0.0, -0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+                1.7976931348623157e308]
+DOUBLES = st.one_of(
+    st.sampled_from(EDGE_DOUBLES + [-x for x in EDGE_DOUBLES]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+# %.17g as scipy's writer, repr, and an exponent such as E+05
+FORMATS = st.sampled_from(["%.17g", "%r", "%.16E"])
+
+
+@st.composite
+def small_files(draw):
+    """Text of a dense general file the in-process parser accepts."""
+    field = draw(st.sampled_from(["real", "complex"]))
+    per_entry = 1 if field == "real" else 2
+    rows = draw(st.integers(0, SMALL_FILE_NUMBERS // per_entry))
+    cols = draw(st.integers(0, SMALL_FILE_NUMBERS // (per_entry * max(rows, 1))))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    comments = draw(st.lists(st.sampled_from(["%", "% a comment", "%%not 1 2"]), max_size=2))
+    entries = [
+        " ".join(draw(FORMATS) % draw(DOUBLES) for _ in range(per_entry))
+        for _ in range(rows * cols)
+    ]
+    header = f"%%MatrixMarket matrix array {field} general"
+    return newline.join([header, *comments, f"{rows} {cols}", *entries, ""])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=small_files())
+def test_small_file_parser_matches_scipy(tmp_path_factory, text):
+    path = str(tmp_path_factory.getbasetemp() / "small.mtx")
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    small = _read_small(path)
+    assert small is not None
+    assert _same_array(small, _mmread(path))
+
+
+REAL = "%%MatrixMarket matrix array real general\n"
+COMPLEX = "%%MatrixMarket matrix array complex general\n"
+# each file either parses in-process or is declined, and scipy decides
+MATRIX_FILES = {
+    "plus_sign": REAL + "2 1\n+1\n2\n",
+    "underscore": REAL + "2 1\n1_0\n2\n",
+    "d_exponent": REAL + "2 1\n1d5\n2\n",
+    "hexadecimal": REAL + "2 1\n0x10\n2\n",
+    "inf": REAL + "2 1\ninf\n2\n",
+    "nan": REAL + "2 1\nnan\n2\n",
+    "overflow": REAL + "2 1\n1e400\n2\n",
+    "negative_zeros": REAL + "2 1\n-0\n-1e-400\n",
+    "missing_entry": REAL + "2 1\n1\n",
+    "extra_entry": REAL + "2 1\n1\n2\n3\n",
+    "two_values_on_a_real_line": REAL + "2 1\n1 5\n2 6\n",
+    "one_value_on_a_complex_line": COMPLEX + "2 1\n1\n2\n",
+    "symmetric": "%%MatrixMarket matrix array real symmetric\n2 2\n1\n2\n3\n",
+    "hermitian": "%%MatrixMarket matrix array complex hermitian\n2 2\n1 0\n2 1\n3 0\n",
+    "skew_symmetric": "%%MatrixMarket matrix array real skew-symmetric\n2 2\n2\n",
+    "integer": "%%MatrixMarket matrix array integer general\n2 1\n1\n2\n",
+    "pattern": "%%MatrixMarket matrix coordinate pattern general\n2 1 1\n1 1\n",
+    "zero_rows": REAL + "0 2\n",
+}
+PARSED_IN_PROCESS = {"overflow", "negative_zeros", "zero_rows"}
+
+
+def _read_outcome(path):
+    try:
+        return read_matrix(path)
+    except ParseError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX_FILES))
+def test_both_readers_agree_on_unusual_files(tmp_path, monkeypatch, capsys, name):
+    path = _write_wls(tmp_path, "job", MATRIX_FILES[name])
+    a_path = str(tmp_path / "job.A.mtx")
+    assert (_read_small(a_path) is not None) == (name in PARSED_IN_PROCESS)
+
+    def outcomes():
+        code = main([path])
+        out, err = capsys.readouterr()
+        return _read_outcome(a_path), code, out, err.splitlines()
+
+    matrix, code, out, err = outcomes()
+    monkeypatch.setattr(opapprox.manifest, "SMALL_FILE_NUMBERS", -1)  # scipy reads every file
+    scipy_matrix, scipy_code, scipy_out, scipy_err = outcomes()
+    if isinstance(matrix, str):
+        assert matrix == scipy_matrix
+    else:
+        assert _same_array(matrix, scipy_matrix)
+    assert (code, out, err) == (scipy_code, scipy_out, scipy_err)
+    assert len(err) <= 1
 
 
 def _entry(value, field):
