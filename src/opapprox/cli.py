@@ -6,6 +6,19 @@ Exit codes: 0 solved, 2 well-posed nonexistence, 3 equivalence violation,
 numerical failure (a ValueError, LinAlgError or floating-point overflow,
 invalid operation or division by zero while solving or rendering).  Exit
 codes 3 and 70 write a JSON error payload in place of the report.
+
+``--out`` is rewritten in place: the file is opened without truncation,
+the whole report (or payload) is written from offset 0, and a regular
+file is then cut to the written length.  ``/dev/null``, a FIFO or
+``/dev/stdout`` is written and never cut.  Crash contract: opapprox never
+calls fsync, and a report is complete once opapprox has exited with that
+report's exit code.  A process killed between the write and the cut can
+leave the new report followed by the tail of a longer old one, which is
+not valid JSON.  After a system crash the file can hold the old report or
+the new one, and a report longer than one 4 KiB block can hold a mix of
+their blocks.  (A truncating rewrite can also leave the old report after
+a system crash, because the truncation may not have reached the journal.)
+
 Logging verbosity comes from the OPAPPROX_LOG environment variable
 (error, info, or debug).
 """
@@ -18,6 +31,7 @@ import functools
 import glob
 import logging
 import os
+import stat
 import sys
 
 import numpy as np
@@ -113,11 +127,18 @@ def _sidecar_base(out_path: str | None, manifest_path: str) -> str:
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    if not out_path:
         sys.stdout.write(text)
+        return
+    # no O_TRUNC: truncating a file that holds data makes ext4 start its
+    # writeback on close, the largest fixed cost of a small report
+    fd = os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8") as fh:
+        fh.write(text)
+        # cut the tail of a longer old report; /dev/null or a FIFO has no
+        # length, and cutting it fails
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate()
 
 
 def _fail(error: str, exc: Exception, diagnostics: dict, out_path: str | None) -> None:

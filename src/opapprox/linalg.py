@@ -209,7 +209,15 @@ class Factorization:
     def normal(self, B):
         """Solve M* M C = M* B without forming M* M: returns (C, R, solvable),
         with C = M^+ B, its residual R = M* (B - M C) (column j belongs to
-        column j of B), and ||R||_F <= ``normal_bound(M, C, B)``."""
+        column j of B), and ||R||_F <= ``normal_bound(M, C, B)``.
+
+        Lemma: split M = U S V* at the rank decision into its kept part
+        and its dropped part U_perp S_perp V_perp*.  The truncated solve
+        leaves R = V_perp S_perp U_perp* B, so ||R||_F <= sigma_{r+1}
+        ||B||_F <= rank_rtol sigma_1 ||B||_F <= (rank_rtol / residual_rtol)
+        ``normal_bound(M, C, B)``.  Whenever rank_rtol <= residual_rtol,
+        ``solvable`` holds for every B up to the rounding of R.
+        """
         C, R, _ = self.lstsq(B)
         R = self.matrix.conj().T @ R
         return C, R, bool(np.linalg.norm(R) <= normal_bound(self.matrix, C, B, self.tol))

@@ -75,10 +75,17 @@ def spline_solve(T, V, f0, tol: Tolerances = DEFAULT_TOL) -> ResultReport:
 
 def _pointwise_anchors(F0, solved, tol: Tolerances) -> np.ndarray:
     """V^+ F0 from ``solved = fv.lstsq(F0)``; NotInRange when any column of
-    F0 is outside R(V)."""
+    F0 is outside R(V).
+
+    Every column's residual is judged against residual_rtol ||F0||_F, the
+    scale ``Factorization.lstsq`` applies to the whole solve.  V's rank is
+    decided relative to sigma_1(V), so a column of F0 that is small beside
+    the others carries a residual that is small beside ||F0||_F, not
+    beside its own norm.  A single column is judged against its own norm.
+    """
     H0, R, _ = solved
     outside = np.linalg.norm(R, axis=0)
-    if np.any(outside > tol.residual_rtol * np.maximum(np.linalg.norm(F0, axis=0), 1e-300)):
+    if np.any(outside > tol.residual_rtol * np.linalg.norm(F0)):
         raise NotInRange("f0 is not in the range of V")
     return H0
 

@@ -167,7 +167,7 @@ def test_wls_min_value_uses_manifest_tolerances(tmp_path):
     assert json.loads(out.read_text())["min_value"] == 0.0
 
 
-def test_cli_equivalence_violation_exit_code(tmp_path):
+def _violation_args(tmp_path):
     # same weak-direction setup, but the rank test of the range sum still
     # succeeds, so the independently evaluated conditions disagree
     path = _write_manifest(
@@ -176,8 +176,25 @@ def test_cli_equivalence_violation_exit_code(tmp_path):
         {"problem": "report"},
         {"A": np.diag([1.0, 1e-7]), "W": np.eye(2)},
     )
-    code = main([path, "--tol-rank", "1e-5", "--tol-res", "1e-9"])
-    assert code == 3
+    return [path, "--tol-rank", "1e-5", "--tol-res", "1e-9"]
+
+
+def test_cli_equivalence_violation_exit_code(tmp_path):
+    assert main(_violation_args(tmp_path)) == 3
+
+
+def test_tv_report_certifies_an_anchor_small_beside_the_others(tmp_path):
+    # V's rank is decided as 1; its second column (0, 1e-11) lies off the
+    # kept range by about 7e-12, which is small beside ||V||_F
+    v = np.zeros((2, 6))
+    v[:, 0] = 1.0
+    v[1, 1] = 1e-11
+    path = _write_manifest(tmp_path, "graded.json", {"problem": "report"}, {"T": np.eye(6), "V": v})
+    out = tmp_path / "graded.report.json"
+    assert main([path, "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["exists"] is True
+    assert set(payload["conditions"].values()) == {True}
 
 
 def test_cli_determinism_byte_identical(tmp_path):
@@ -482,9 +499,12 @@ def test_infinite_value_is_numerical_failure(tmp_path, capsys):
 
 
 def test_unwritable_out_writes_one_stderr_line(tmp_path):
-    code, lines = _stderr_lines(_wls_manifest(tmp_path), "--out", str(tmp_path / "no" / "r.json"))
-    assert code == 64
-    assert len(lines) == 1 and lines[0].startswith("opapprox: cannot write output: "), lines
+    (tmp_path / "taken").mkdir()
+    # a missing directory, and a directory where the report should go
+    for out in (tmp_path / "no" / "r.json", tmp_path / "taken"):
+        code, lines = _stderr_lines(_wls_manifest(tmp_path), "--out", str(out))
+        assert code == 64
+        assert len(lines) == 1 and lines[0].startswith("opapprox: cannot write output: "), lines
 
 
 def test_batch_out_on_a_file_writes_one_stderr_line(tmp_path):
@@ -501,3 +521,78 @@ def test_numerical_failure_writes_one_stderr_line(tmp_path):
     code, lines = _stderr_lines(_overflow_manifest(tmp_path))
     assert code == 70
     assert len(lines) == 1 and lines[0].startswith("opapprox: numerical failure: overflow"), lines
+
+
+def test_rewrite_over_longer_and_shorter_reports_gives_fresh_bytes(tmp_path):
+    path = _wls_manifest(tmp_path)
+    fresh = tmp_path / "fresh.json"
+    assert main([path, "--out", str(fresh)]) == 0
+    expected = fresh.read_bytes()
+    for old in (expected + b" " * 5000, b"x" * 10000, expected[:10], b""):
+        out = tmp_path / "old.json"
+        out.write_bytes(old)
+        assert main([path, "--out", str(out)]) == 0
+        assert out.read_bytes() == expected
+
+
+@pytest.mark.parametrize("code", [3, 70])
+def test_error_payload_over_a_longer_report_is_the_payload(tmp_path, code):
+    args = _violation_args(tmp_path) if code == 3 else [_overflow_manifest(tmp_path)]
+    fresh = tmp_path / "fresh.json"
+    assert main([*args, "--out", str(fresh)]) == code
+    out = tmp_path / "old.json"
+    out.write_bytes(b"x" * 10000)
+    assert main([*args, "--out", str(out)]) == code
+    assert out.read_bytes() == fresh.read_bytes()
+    assert "error" in json.loads(out.read_text())
+
+
+def test_out_to_dev_null_exits_0(tmp_path):
+    # /dev/null has no length: cutting it would fail with EINVAL
+    assert main([_wls_manifest(tmp_path), "--out", os.devnull]) == 0
+
+
+def test_out_to_a_fifo_and_dev_stdout_exit_0(tmp_path):
+    path = _wls_manifest(tmp_path)
+    expected = subprocess.run(
+        [sys.executable, "-m", "opapprox.cli", path], capture_output=True, check=True
+    ).stdout
+    # /dev/stdout is the pipe to this process
+    proc = subprocess.run(
+        [sys.executable, "-m", "opapprox.cli", path, "--out", "/dev/stdout"], capture_output=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = subprocess.Popen(["cat", str(fifo)], stdout=subprocess.PIPE)
+    try:
+        assert main([path, "--out", str(fifo)]) == 0
+        assert reader.communicate(timeout=60)[0] == expected
+    finally:
+        reader.kill()
+        reader.wait()
+
+
+def test_read_only_out_writes_one_stderr_line(tmp_path):
+    out = tmp_path / "r.json"
+    out.write_text("old")
+    out.chmod(0o444)
+    if os.access(out, os.W_OK):
+        pytest.skip("this user writes through a read-only mode (root)")
+    code, lines = _stderr_lines(_wls_manifest(tmp_path), "--out", str(out))
+    assert code == 64
+    assert len(lines) == 1 and lines[0].startswith("opapprox: cannot write output: "), lines
+    assert out.read_text() == "old"
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_new_report_gets_the_mode_open_gives(tmp_path, umask):
+    path = _wls_manifest(tmp_path)
+    out = tmp_path / "new.json"
+    old = os.umask(umask)
+    try:
+        assert main([path, "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert out.stat().st_mode & 0o777 == 0o666 & ~umask

@@ -17,7 +17,7 @@ from opapprox import (
     range_included,
     trivial_subspace,
 )
-from opapprox.linalg import ensure_psd_weight, factor, psd_weight
+from opapprox.linalg import ensure_psd_weight, factor, normal_bound, psd_weight
 
 
 def test_tolerances_reject_out_of_range():
@@ -84,6 +84,33 @@ def test_rank_additivity(seed, rows, cols):
     rank = int(rng.integers(0, min(rows, cols) + 1))
     m = random_rank_deficient(rng, rows, cols, rank)
     assert range_basis(m).dim + null_basis(m).dim == cols
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    rows=st.integers(1, 12),
+    cols=st.integers(1, 12),
+    scale_exp=st.floats(-12.0, 12.0),
+    rank_exp=st.floats(-14.0, -2.0),
+    residual_exp=st.floats(-14.0, -2.0),
+)
+def test_normal_residual_obeys_the_tolerance_lemma(
+    seed, rows, cols, scale_exp, rank_exp, residual_exp
+):
+    # the lemma of Factorization.normal, up to the rounding of R, about
+    # max(rows, cols) eps ||M||_F (||M||_F ||C||_F + ||B||_F); M is graded
+    # with singular values 10^U(-14, 0) at a scale of 10^U(-12, 12)
+    rng = np.random.default_rng(seed)
+    k = min(rows, cols)
+    s = 10.0 ** rng.uniform(-14.0, 0.0, k) * 10.0**scale_exp
+    m = (random_unitary(rng, rows)[:, :k] * s) @ random_unitary(rng, cols)[:, :k].conj().T
+    b = cgauss(rng, rows, int(rng.integers(1, 5)))
+    tol = Tolerances(rank_rtol=10.0**rank_exp, residual_rtol=10.0**residual_exp)
+    c, r, _ = factor(m, tol).normal(b)
+    bound = normal_bound(m, c, b, tol)
+    rounding = max(rows, cols) * np.finfo(float).eps * bound / tol.residual_rtol
+    assert np.linalg.norm(r) <= tol.rank_rtol / tol.residual_rtol * bound + rounding
 
 
 def test_range_null_examples():

@@ -10,8 +10,10 @@ from opapprox import (
     null_basis,
     operator_spline_min,
     pinv,
+    smoothing_equivalence_report,
     spline_equivalence_report,
     spline_solve,
+    tv_report,
 )
 from opapprox.oracles import quadratic_min_over_affine, sampled_dominance
 
@@ -49,6 +51,28 @@ def test_spline_rejects_unreachable_target():
     v = np.array([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(NotInRange):
         spline_solve(np.eye(2), v, np.array([0.0, 1.0]))
+
+
+# V's rank is decided as 1 relative to sigma_1(V) = 2^(1/2); its second
+# column (0, 1e-11) lies off the kept range by about 7e-12
+V_GRADED = np.array([[1.0, 0, 0, 0, 0, 0], [1.0, 1e-11, 0, 0, 0, 0]])
+
+
+@pytest.mark.parametrize(
+    "report", [spline_equivalence_report, tv_report, smoothing_equivalence_report]
+)
+def test_anchor_small_beside_the_others_certifies(report):
+    # every anchor V e_i is judged against ||V||_F, the scale of V's rank
+    # decision, not against its own norm
+    result = report(np.eye(6), V_GRADED)
+    assert result.exists
+    assert set(result.conditions.values()) == {True}
+
+
+def test_single_anchor_is_judged_against_its_own_norm():
+    # the same column as a lone f0 is outside R(V) at its own scale
+    with pytest.raises(NotInRange):
+        spline_solve(np.eye(6), V_GRADED, V_GRADED[:, 1])
 
 
 def test_is_abstract_spline_classification():
