@@ -8,16 +8,17 @@ invalid operation or division by zero while solving or rendering).  Exit
 codes 3 and 70 write a JSON error payload in place of the report.
 
 ``--out`` is rewritten in place: the file is opened without truncation,
-the whole report (or payload) is written from offset 0, and a regular
-file is then cut to the written length.  ``/dev/null``, a FIFO or
-``/dev/stdout`` is written and never cut.  Crash contract: opapprox never
-calls fsync, and a report is complete once opapprox has exited with that
-report's exit code.  A process killed between the write and the cut can
-leave the new report followed by the tail of a longer old one, which is
-not valid JSON.  After a system crash the file can hold the old report or
-the new one, and a report longer than one 4 KiB block can hold a mix of
-their blocks.  (A truncating rewrite can also leave the old report after
-a system crash, because the truncation may not have reached the journal.)
+the whole report (or payload) is written as UTF-8 bytes from offset 0 by
+``os.write``, and a regular file is then cut to the written length by
+``ftruncate``.  ``/dev/null``, a FIFO or ``/dev/stdout`` is written and
+never cut.  Crash contract: opapprox never calls fsync, and a report is
+complete once opapprox has exited with that report's exit code.  A
+process killed between the write and the cut can leave the new report
+followed by the tail of a longer old one, which is not valid JSON.
+After a system crash the file can hold the old report or the new one,
+and a report longer than one 4 KiB block can hold a mix of their blocks.
+(A truncating rewrite can also leave the old report after a system
+crash, because the truncation may not have reached the journal.)
 
 Logging verbosity comes from the OPAPPROX_LOG environment variable
 (error, info, or debug).
@@ -100,15 +101,16 @@ def _build_parser() -> _Parser:
 
 
 def _apply_overrides(manifest: ProblemManifest, args) -> ProblemManifest:
+    if args.tol_rank is None and args.tol_res is None:
+        return manifest
     tol = manifest.tolerances
-    if args.tol_rank is not None or args.tol_res is not None:
-        try:
-            tol = Tolerances(
-                rank_rtol=args.tol_rank if args.tol_rank is not None else tol.rank_rtol,
-                residual_rtol=args.tol_res if args.tol_res is not None else tol.residual_rtol,
-            )
-        except ValueError as exc:
-            raise ParseError(str(exc)) from exc
+    try:
+        tol = Tolerances(
+            rank_rtol=args.tol_rank if args.tol_rank is not None else tol.rank_rtol,
+            residual_rtol=args.tol_res if args.tol_res is not None else tol.residual_rtol,
+        )
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
     return dataclasses.replace(manifest, tolerances=tol)
 
 
@@ -130,15 +132,20 @@ def _emit(text: str, out_path: str | None) -> None:
     if not out_path:
         sys.stdout.write(text)
         return
+    data = text.encode("utf-8")
     # no O_TRUNC: truncating a file that holds data makes ext4 start its
     # writeback on close, the largest fixed cost of a small report
     fd = os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666)
-    with open(fd, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        view = memoryview(data)
+        while view:  # a pipe or a FIFO may take a large report in parts
+            view = view[os.write(fd, view) :]
         # cut the tail of a longer old report; /dev/null or a FIFO has no
         # length, and cutting it fails
         if stat.S_ISREG(os.fstat(fd).st_mode):
-            fh.truncate()
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _fail(error: str, exc: Exception, diagnostics: dict, out_path: str | None) -> None:

@@ -67,11 +67,15 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce input to a 2-d complex128 array with finite entries.
 
     Scalars become 1x1 matrices, 1-d arrays become rows (numpy convention).
+    A 2-d complex128 ndarray is returned as is, after the finiteness check.
     """
-    m = np.atleast_2d(np.asarray(a, dtype=complex))
-    if m.ndim != 2:
-        raise InconsistentDims(f"{name} must be at most 2-dimensional, got shape {m.shape}")
-    if m.size and not np.all(np.isfinite(m)):
+    if type(a) is np.ndarray and a.ndim == 2 and a.dtype == complex:
+        m = a
+    else:
+        m = np.atleast_2d(np.asarray(a, dtype=complex))
+        if m.ndim != 2:
+            raise InconsistentDims(f"{name} must be at most 2-dimensional, got shape {m.shape}")
+    if m.size and not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
@@ -79,7 +83,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 def as_vector(x, name: str = "vector") -> np.ndarray:
     """Coerce input to a 1-d complex128 array with finite entries."""
     v = np.asarray(x, dtype=complex).ravel()
-    if v.size and not np.all(np.isfinite(v)):
+    if v.size and not np.isfinite(v).all():
         raise ValueError(f"{name} contains non-finite entries")
     return v
 
@@ -143,8 +147,8 @@ class Factorization:
     """One SVD of ``matrix`` with its rank decision under ``tol``.
 
     ``U``, ``s``, ``Vh`` and ``rank`` are the output of ``svd_with_rank``.
-    Every method reuses them; none factors again, and the pseudoinverse
-    is formed at most once.
+    Every method reuses them; none factors again, and the pseudoinverse,
+    the range and the nullspace are each formed at most once.
     """
 
     matrix: np.ndarray
@@ -170,14 +174,34 @@ class Factorization:
         return (self.Vh[:k, :].conj().T * inv) @ self.U[:, :k].conj().T
 
     def range(self) -> Subspace:
-        """Orthonormal basis of the range (column space)."""
+        """Orthonormal basis of the range (column space); formed on the
+        first call and shared by later ones."""
+        return self._range
+
+    @cached_property
+    def _range(self) -> Subspace:
         return Subspace(self.U[:, : self.rank])
 
     def null(self) -> Subspace:
-        """Orthonormal basis of the nullspace; dim range + dim null = cols."""
+        """Orthonormal basis of the nullspace; dim range + dim null = cols.
+        Formed on the first call and shared by later ones."""
+        return self._null
+
+    @cached_property
+    def _null(self) -> Subspace:
         if self.matrix.shape[0] == 0:
             return full_subspace(self.matrix.shape[1])
         return Subspace(self.Vh[self.rank :, :].conj().T)
+
+    def _residual(self, B):
+        """(B, C, R): B as a matrix, C = M^+ B and R = B - M C."""
+        B = as_matrix(B, "B")
+        if self.matrix.shape[0] != B.shape[0]:
+            raise InconsistentDims(
+                f"codomain mismatch: A has {self.matrix.shape[0]} rows, B has {B.shape[0]}"
+            )
+        C = self.pinv() @ B
+        return B, C, B - self.matrix @ C
 
     def lstsq(self, B):
         """Solve M C = B for every column of B at once.
@@ -187,13 +211,7 @@ class Factorization:
         column j of B), and the decision R(B) subseteq R(M), which accepts
         iff ||R||_F <= residual_rtol * ||B||_F, so B = 0 is always included.
         """
-        B = as_matrix(B, "B")
-        if self.matrix.shape[0] != B.shape[0]:
-            raise InconsistentDims(
-                f"codomain mismatch: A has {self.matrix.shape[0]} rows, B has {B.shape[0]}"
-            )
-        C = self.pinv() @ B
-        R = B - self.matrix @ C
+        B, C, R = self._residual(B)
         return C, R, bool(np.linalg.norm(R) <= self.tol.residual_rtol * np.linalg.norm(B))
 
     def solve(self, B):
@@ -218,7 +236,7 @@ class Factorization:
         ``normal_bound(M, C, B)``.  Whenever rank_rtol <= residual_rtol,
         ``solvable`` holds for every B up to the rounding of R.
         """
-        C, R, _ = self.lstsq(B)
+        B, C, R = self._residual(B)
         R = self.matrix.conj().T @ R
         return C, R, bool(np.linalg.norm(R) <= normal_bound(self.matrix, C, B, self.tol))
 

@@ -163,7 +163,7 @@ def read_matrix(path: str) -> np.ndarray:
         raise ParseError(f"cannot read matrix file {path!r}: {exc}") from exc
     if m.ndim != 2:
         raise ParseError(f"matrix file {path!r} is not two-dimensional")
-    if m.size and not np.all(np.isfinite(m)):
+    if m.size and not np.isfinite(m).all():
         raise ParseError(f"matrix file {path!r} contains non-finite entries")
     return m
 
@@ -268,6 +268,9 @@ def parse_manifest(path: str) -> ProblemManifest:
 
 _NON_FINITE = "reports cannot contain non-finite values"
 
+# the encoder json.dumps applies to a str under its defaults (ensure_ascii)
+_encode_str = json.encoder.encode_basestring_ascii
+
 
 def _format_float(value: float) -> str:
     if not math.isfinite(value):  # NaN or an overflow to infinity
@@ -301,7 +304,7 @@ def _render(obj, out: list) -> None:
     elif obj is False:
         out.append("false")
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        out.append(_encode_str(obj))
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
@@ -313,7 +316,7 @@ def _render(obj, out: list) -> None:
         for i, key in enumerate(sorted(obj)):
             if i:
                 out.append(",")
-            out.append(json.dumps(str(key)))
+            out.append(_encode_str(str(key)))
             out.append(":")
             _render(obj[key], out)
         out.append("}")

@@ -34,11 +34,14 @@ def schatten_norm(X, p) -> float:
 
 
 def _norm_of_singular_values(s: np.ndarray, p) -> float:
-    """(sum_k s_k^p)^(1/p), for singular values already at hand."""
+    """(sum_k s_k^p)^(1/p), for singular values already at hand, computed
+    as s_max (sum_k (s_k / s_max)^p)^(1/p) so that no power under- or
+    overflows at a large p."""
     p = _check_index(p)
-    if s.size == 0:
+    top = float(s.max()) if s.size else 0.0
+    if top == 0.0:
         return 0.0
-    return float(np.sum(s**p) ** (1.0 / p))
+    return top * float(np.sum((s / top) ** p) ** (1.0 / p))
 
 
 def weighted_schatten_norm(Y, W, p, tol: Tolerances = DEFAULT_TOL) -> float:

@@ -20,6 +20,7 @@ decide a genuinely open question.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,15 +47,29 @@ class CompatCertificate:
     """Outcome of a compatibility test.
 
     When ``compatible`` holds, ``projection`` is an idempotent Q with range
-    S and W Q = Q* W.  ``sum_rank`` is dim(S + S^{perp_W}); compatibility
-    means it equals the ambient dimension.
+    S and W Q = Q* W, and None otherwise.  ``sum_rank`` is
+    dim(S + S^{perp_W}); compatibility means it equals the ambient
+    dimension.  ``null_side`` is the basis of Q's nullspace; Q is formed
+    from it when ``projection`` is first read, and shared by later reads.
     """
 
     compatible: bool
     s_basis: Subspace
     s_perp_w_basis: Subspace
     sum_rank: int
-    projection: np.ndarray | None = None
+    null_side: Subspace | None = None
+
+    @cached_property
+    def projection(self) -> np.ndarray | None:
+        if not self.compatible:
+            return None
+        S = self.s_basis
+        n = S.ambient_dim
+        if S.dim == 0:
+            return np.zeros((n, n), dtype=complex)
+        M = np.hstack([S.basis, self.null_side.basis])
+        Minv = np.linalg.solve(M, np.eye(n, dtype=complex))
+        return S.basis @ Minv[: S.dim, :]
 
 
 def _check_ambient(W: np.ndarray, S: Subspace) -> None:
@@ -123,21 +138,15 @@ def _certificate(S: Subspace, perp_w: Subspace, tol: Tolerances) -> CompatCertif
     stacked = factor(np.hstack([S.basis, perp_w.basis]), tol)
     sum_rank = stacked.rank
     if sum_rank != n:
-        return CompatCertificate(False, S, perp_w, sum_rank, None)
+        return CompatCertificate(False, S, perp_w, sum_rank)
 
     coeffs = stacked.null().basis[: S.dim, :]
     overlap = range_basis(S.basis @ coeffs, tol) if coeffs.shape[1] else trivial_subspace(n)
     null_side = complement_within(perp_w, overlap, tol) if overlap.dim else perp_w
-    M = np.hstack([S.basis, null_side.basis])
-    if M.shape[1] != n:
+    if S.dim + null_side.dim != n:
         # rank decision drift between the sum test and the overlap split
-        return CompatCertificate(False, S, perp_w, sum_rank, None)
-    if S.dim == 0:
-        Q = np.zeros((n, n), dtype=complex)
-    else:
-        Minv = np.linalg.solve(M, np.eye(n, dtype=complex))
-        Q = S.basis @ Minv[: S.dim, :]
-    return CompatCertificate(True, S, perp_w, sum_rank, Q)
+        return CompatCertificate(False, S, perp_w, sum_rank)
+    return CompatCertificate(True, S, perp_w, sum_rank, null_side)
 
 
 # Registry builders (see problems.REGISTRY): a validated manifest -> ResultReport

@@ -552,8 +552,9 @@ def test_out_to_dev_null_exits_0(tmp_path):
     assert main([_wls_manifest(tmp_path), "--out", os.devnull]) == 0
 
 
-def test_out_to_a_fifo_and_dev_stdout_exit_0(tmp_path):
-    path = _wls_manifest(tmp_path)
+def _check_fifo_and_dev_stdout(tmp_path, path):
+    """The report of ``path`` arrives whole through ``--out /dev/stdout``
+    and through a FIFO, as it does on stdout."""
     expected = subprocess.run(
         [sys.executable, "-m", "opapprox.cli", path], capture_output=True, check=True
     ).stdout
@@ -563,15 +564,36 @@ def test_out_to_a_fifo_and_dev_stdout_exit_0(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected
-    fifo = tmp_path / "fifo"
+    fifo, copy = tmp_path / "fifo", tmp_path / "fifo.copy"
     os.mkfifo(fifo)
-    reader = subprocess.Popen(["cat", str(fifo)], stdout=subprocess.PIPE)
+    # the reader copies to a file, so it drains the FIFO whatever its size
+    with open(copy, "wb") as sink:
+        reader = subprocess.Popen(["cat", str(fifo)], stdout=sink)
     try:
         assert main([path, "--out", str(fifo)]) == 0
-        assert reader.communicate(timeout=60)[0] == expected
+        assert reader.wait(timeout=60) == 0
     finally:
         reader.kill()
         reader.wait()
+    assert copy.read_bytes() == expected
+    return expected
+
+
+def test_out_to_a_fifo_and_dev_stdout_exit_0(tmp_path):
+    _check_fifo_and_dev_stdout(tmp_path, _wls_manifest(tmp_path))
+
+
+def test_report_larger_than_a_pipe_buffer_arrives_whole(tmp_path):
+    # a 100 x 100 witness is the largest rendered inline, about 450 KB:
+    # more than a pipe holds, so the write waits for the reader to drain it
+    W = cgauss(np.random.default_rng(0), 100, 100)
+    path = _write_manifest(
+        tmp_path, "big.json", {"problem": "shorted"},
+        {"W": W @ W.conj().T, "S": cgauss(np.random.default_rng(1), 100, 3)},
+    )
+    expected = _check_fifo_and_dev_stdout(tmp_path, path)
+    assert len(expected) > 400_000
+    assert json.loads(expected)["witness"]["rows"] == 100
 
 
 def test_read_only_out_writes_one_stderr_line(tmp_path):

@@ -2,7 +2,8 @@
 factors each distinct operator a constant number of times, never passes
 the same matrix to two SVDs, and decomposes each distinct weight once, and
 the batched basis solves of a report agree with the public single-vector
-solvers."""
+solvers.  A factorization builds its range and nullspace once, and a
+compatibility certificate solves for its projection only when it is read."""
 
 import sys
 
@@ -31,9 +32,11 @@ from opapprox import (
     wlss_solve,
 )
 from opapprox.cli import execute
-from opapprox.linalg import factor, normal_bound, psd_sqrt, range_basis
+from opapprox.errors import InconsistentDims
+from opapprox.linalg import as_matrix, factor, normal_bound, psd_sqrt, range_basis
 from opapprox.manifest import ProblemManifest
 from opapprox.problems import REGISTRY
+from opapprox.shorted import _certificate
 from opapprox.spline import _spline_columns
 
 
@@ -230,6 +233,68 @@ def test_tv_report_decides_compatibility_once(monkeypatch, deficient):
         calls[0] = 0
         _execute(ROWS["report:T,V"], matrices)
         assert calls[0] == 1, n
+
+
+@pytest.mark.parametrize("deficient", [False, True], ids=["full_rank", "rank_deficient"])
+@pytest.mark.parametrize("row", ["report:A,W", "report:T,V"])
+def test_report_rows_form_no_projection(monkeypatch, row, deficient):
+    # the rows read the certificate's verdict and sum rank, never its witness
+    calls = _count_calls(monkeypatch, np.linalg, "solve", [0])
+    for n in (8, 32):
+        _execute(ROWS[row], _role_matrices(n, deficient))
+        assert calls[0] == 0, n
+
+
+@pytest.mark.parametrize("deficient", [False, True], ids=["full_rank", "rank_deficient"])
+def test_compat_row_forms_its_projection_once(monkeypatch, deficient):
+    calls = _count_calls(monkeypatch, np.linalg, "solve", [0])
+    matrices = _role_matrices(16, deficient)
+    report = _execute(ROWS["compat:W,S"], matrices)
+    assert calls[0] == 1
+    # the projection onto S along the null side, as an eager certificate formed it
+    cert = is_compatible(matrices["W"], range_basis(matrices["S"]))
+    S, null_side = cert.s_basis.basis, cert.null_side.basis
+    n = S.shape[0]
+    eager = S @ np.linalg.solve(np.hstack([S, null_side]), np.eye(n, dtype=complex))[: S.shape[1]]
+    assert report.witness.tobytes() == eager.tobytes()
+    assert cert.projection is cert.projection
+
+
+def test_incompatible_certificate_has_no_projection():
+    cert = _certificate(range_basis(np.eye(4)[:, :2]), range_basis(np.eye(4)[:, :1]), DEFAULT_TOL)
+    assert not cert.compatible and cert.projection is None
+
+
+@pytest.mark.parametrize("deficient", [False, True], ids=["full_rank", "rank_deficient"])
+def test_range_and_null_are_built_once(monkeypatch, deficient):
+    A = _instances(8, deficient)[0]
+    f = factor(A)
+    calls = _count_calls(monkeypatch, opapprox.linalg, "Subspace", [0])
+    assert f.range() is f.range()
+    assert f.null() is f.null()
+    assert calls[0] == 2
+    assert f.range().dim + f.null().dim == A.shape[1]
+
+
+def test_as_matrix_returns_a_finite_complex_matrix_as_is():
+    a = cgauss(np.random.default_rng(0), 3, 2)
+    assert as_matrix(a) is a
+    view = a.T  # a view is not copied either
+    assert as_matrix(view) is view
+    for bad in (np.nan, np.inf):
+        b = a.copy()
+        b[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            as_matrix(b)
+    with pytest.raises(InconsistentDims):
+        as_matrix(np.zeros((2, 2, 2), dtype=complex))
+    # other input is converted as before
+    real = np.arange(6.0).reshape(2, 3)
+    assert as_matrix(real).dtype == complex and np.array_equal(as_matrix(real), real)
+    assert np.array_equal(as_matrix([[1, 2], [3, 4]]), np.array([[1, 2], [3, 4]], dtype=complex))
+    assert as_matrix([1.0, 2.0]).shape == (1, 2) and as_matrix(3.0).shape == (1, 1)
+    with pytest.raises(ValueError, match="non-finite"):
+        as_matrix([[1.0, np.inf]])
 
 
 def _role_matrices(n, deficient):

@@ -1,5 +1,8 @@
 """Witness matrices render in one formatting call, byte for byte as the
-per-element rule: each entry a ``[re, im]`` pair at 17 significant digits."""
+per-element rule: each entry a ``[re, im]`` pair at 17 significant digits.
+Keys and strings render byte for byte as ``json.dumps`` renders them."""
+
+import json
 
 import numpy as np
 import pytest
@@ -67,3 +70,25 @@ def test_non_finite_sidecar_witness_raises(tmp_path):
     with pytest.raises(ValueError, match="non-finite"):
         render_report(report, str(tmp_path / "big"))
     assert not list(tmp_path.iterdir())
+
+
+STRINGS = {
+    "plain": "exists",
+    "quotes": 'say "no"',
+    "backslash": "C:\\path\\to\\file",
+    "control": "tab\there\nnew line\r\x00\x01\x1f\x7f",
+    "non_ascii": "Schatten p-Norm, Größe σ_max ≤ λ, 𝔽",
+    "line_separator": "a\u2028b\u2029c",
+    "lone_surrogate": "x\ud800y",
+    "empty": "",
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRINGS))
+def test_strings_render_as_json_dumps(name):
+    text = STRINGS[name]
+    obj = {text: text, "list": [text, text], "nested": {text: None}}
+    # json.dumps under its defaults: ASCII only, every other code point escaped
+    expected = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    assert canonical_json(obj) == expected
+    assert canonical_json(text) == json.dumps(text) + "\n"

@@ -86,12 +86,15 @@ def test_flags_and_exit_codes_do_not_move_with_scale(tmp_path, kind, deficient):
 @pytest.mark.parametrize("deficient", [False, True], ids=["full_rank", "rank_deficient"])
 def test_values_scale_by_the_right_power(deficient):
     m = _instance(deficient)
-    owls = {c: owls_min(c * m["A"], c * m["W"], P).min_value for c in SCALES}
-    spline = {c: operator_spline_min(c * m["T"], c * m["V"], c * m["B0"], P).min_value
-              for c in SCALES}
-    for c in SCALES:
-        assert owls[c] == pytest.approx(np.sqrt(c) * owls[1.0], rel=1e-9)
-        assert spline[c] == pytest.approx(c * spline[1.0], rel=1e-9)
+    # at p = 60 the singular values to the power p under- and overflow
+    # unless the sum is scaled by the largest of them
+    for p in (P, 60.0):
+        owls = {c: owls_min(c * m["A"], c * m["W"], p).min_value for c in SCALES}
+        spline = {c: operator_spline_min(c * m["T"], c * m["V"], c * m["B0"], p).min_value
+                  for c in SCALES}
+        for c in SCALES:
+            assert owls[c] == pytest.approx(np.sqrt(c) * owls[1.0], rel=1e-9), (p, c)
+            assert spline[c] == pytest.approx(c * spline[1.0], rel=1e-9), (p, c)
 
 
 def _scaled_result(fn, index=None):

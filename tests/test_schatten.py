@@ -18,6 +18,20 @@ def test_schatten_norm_examples():
     assert schatten_norm(np.eye(7), 1) == pytest.approx(7.0, rel=1e-14)
 
 
+@pytest.mark.parametrize("c", [1e-200, 1e-12, 1e12, 1e200])
+@pytest.mark.parametrize("p", [1.5, 30.0, 60.0])
+def test_schatten_norm_neither_under_nor_overflows(c, p):
+    # sigma^p leaves the double range for these c, the scaled sum does not
+    x = c * np.diag([1.0, 2.0, 2.0])
+    expected = 2.0 * c * (0.5**p + 2.0) ** (1.0 / p)
+    assert schatten_norm(x, p) == pytest.approx(expected, rel=1e-14)
+
+
+def test_schatten_norm_of_zero_is_zero():
+    assert schatten_norm(np.zeros((3, 2)), 60) == 0.0
+    assert schatten_norm(np.zeros((0, 2)), 60) == 0.0
+
+
 def test_schatten_norm_p3_against_eigen_oracle():
     # singular values from the 2x2 eigenproblem of X*X, solved by the quadratic formula
     x = np.array([[1.0, 1.0], [0.0, 1.0]])
