@@ -11,10 +11,12 @@ A ``Factorization`` (built by ``factor``) holds one SVD of a matrix and its
 rank decision, and answers every question about that matrix: ``pinv``,
 ``range``, ``null``, ``solve`` and ``lstsq`` (the range-inclusion test),
 ``normal`` (the least-squares solve) and ``off_range``.  ``pinv``,
-``range_basis``, ``null_basis``, ``matrix_rank`` and ``range_included``
-are one-shot wrappers over it.  A caller factors each operator once and
-passes the value along, so the SVD count of a report does not grow with
-the dimension.  Every SVD goes through ``svd_with_rank``.
+``range_basis``, ``null_basis`` and ``range_included`` are one-shot
+wrappers over it.  A caller factors each operator once and passes the
+value along, so the SVD count of a report does not grow with the
+dimension.  Every SVD goes through ``svd_with_rank``, except that of
+``matrix_rank``, which applies the same rank rule to singular values
+computed without U and Vh.
 
 Every normal equation M* M C = M* B of the library is solved on its root
 M, never on the Gram M* M, whose condition number is the square of M's;
@@ -137,9 +139,13 @@ def svd_with_rank(M, tol: Tolerances = DEFAULT_TOL):
     """
     M = as_matrix(M)
     U, s, Vh = np.linalg.svd(M, full_matrices=True)
+    return U, s, Vh, _rank(s, tol)
+
+
+def _rank(s, tol: Tolerances) -> int:
+    """The number of singular values s (descending) above rank_rtol * s_max."""
     smax = s[0] if s.size else 0.0
-    rank = int(np.count_nonzero(s > tol.rank_rtol * smax)) if smax > 0.0 else 0
-    return U, s, Vh, rank
+    return int(np.count_nonzero(s > tol.rank_rtol * smax)) if smax > 0.0 else 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,7 +268,9 @@ def normal_bound(M, C, B, tol: Tolerances = DEFAULT_TOL) -> float:
 
 
 def matrix_rank(M, tol: Tolerances = DEFAULT_TOL) -> int:
-    return factor(M, tol).rank
+    """``factor(M, tol).rank``, decided on the singular values alone: an SVD
+    without U and Vh costs less than half of a full one (at 128 x 96)."""
+    return _rank(np.linalg.svd(as_matrix(M), compute_uv=False), tol)
 
 
 def pinv(M, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

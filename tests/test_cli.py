@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from conftest import cgauss
-from opapprox import DimensionError, ParseError
+from opapprox import DimensionError, ParseError, manifest
 from opapprox.cli import execute, main
 from opapprox.manifest import (
     ResultReport,
@@ -410,6 +411,42 @@ def test_large_witness_goes_to_sidecar(tmp_path):
     payload = json.loads(text)
     assert payload["witness"] == {"path": "big.witness.mtx"}
     assert np.array_equal(read_matrix(base + ".witness.mtx"), big)
+
+
+def _w_inverse_manifest(tmp_path, a):
+    """A w-inverse manifest with W = I, whose witness is the rows x cols
+    weighted inverse of the cols x rows A."""
+    return _write_manifest(tmp_path, "winv.json", {"problem": "w-inverse"}, {"A": a, "W": np.eye(a.shape[0])})
+
+
+def test_largest_inline_witness_renders_as_the_per_element_rule(tmp_path):
+    # 100 x 100 is the largest witness kept inline; it takes _render_large
+    a = cgauss(np.random.default_rng(23), 100, 100)
+    path = _w_inverse_manifest(tmp_path, a)
+    witness = execute(parse_manifest(path)).witness
+    out = tmp_path / "winv.report.json"
+    with mock.patch.object(manifest, "_render_large", wraps=manifest._render_large) as spy:
+        assert main([path, "--out", str(out)]) == 0
+    assert spy.call_count == 1
+    rows = ",".join(
+        "[" + ",".join(f"[{format(z.real, '.17g')},{format(z.imag, '.17g')}]" for z in row) + "]"
+        for row in witness
+    )
+    text = out.read_text()
+    assert f'"witness":{{"cols":100,"data":[{rows}],"rows":100}}' in text
+    assert not list(tmp_path.glob("*.witness.mtx"))
+
+
+def test_witness_one_past_the_inline_limit_goes_to_a_bit_identical_sidecar(tmp_path):
+    a = cgauss(np.random.default_rng(29), 1, 101)
+    path = _w_inverse_manifest(tmp_path, a)
+    witness = execute(parse_manifest(path)).witness
+    assert witness.shape == (101, 1)
+    out = tmp_path / "winv.report.json"
+    assert main([path, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["witness"] == {"path": "winv.report.witness.mtx"}
+    back = read_matrix(str(tmp_path / "winv.report.witness.mtx"))
+    assert back.shape == witness.shape and back.tobytes() == witness.tobytes()
 
 
 def test_canonical_json_is_sorted_and_seventeen_digits():

@@ -169,6 +169,36 @@ def test_range_included_is_relative_below_unit_scale():
     assert ok and c.shape == (3, 1) and not np.any(c)
 
 
+def test_matrix_rank_takes_one_values_only_svd(monkeypatch):
+    """matrix_rank decides factor's rank rule on singular values computed
+    without U and Vh.  Those differ from the full SVD's in the last bits,
+    so the matrices have a gap of at least 10x at every cutoff tried."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    rng = np.random.default_rng(41)
+    for rows, cols, rank in ((12, 9, 4), (9, 12, 9), (16, 16, 1), (7, 5, 0), (0, 4, 0), (4, 0, 0)):
+        k = min(rows, cols)
+        # graded over eight decades down to 1e-8 above the gap, over three
+        # decades down from 1e-13 below it, and zero for a rank of zero
+        s = np.zeros(k)
+        s[:rank] = 10.0 ** -np.linspace(0.0, 8.0, rank)
+        s[rank:k] = 1e-13 * 10.0 ** -np.linspace(0.0, 3.0, k - rank) if rank else 0.0
+        u = random_unitary(rng, rows)[:, :k] if rows else np.zeros((0, k))
+        v = random_unitary(rng, cols)[:, :k] if cols else np.zeros((0, k))
+        m = (u * s) @ v.conj().T
+        for tol in (Tolerances(), Tolerances(rank_rtol=1e-12), Tolerances(rank_rtol=1e-9)):
+            calls.clear()
+            assert matrix_rank(m, tol) == rank
+            assert calls == [False]
+            assert matrix_rank(m, tol) == factor(m, tol).rank
+
+
 def test_factorization_answers_match_the_one_shot_wrappers():
     rng = np.random.default_rng(29)
     for rows, cols, rank in ((5, 3, 3), (4, 6, 2), (6, 6, 0), (0, 3, 0), (3, 0, 0)):
